@@ -10,7 +10,6 @@ SVM, and parameter sweeps).
 
 from .bounds import (
     BoundSpec,
-    capped_residual_bound,
     det_lower_threshold,
     entry_moments,
     jl_success_bound,
@@ -22,11 +21,8 @@ from .projection import (
     EntryStats,
     SparseSignMatrix,
     apply,
-    dump_matrix,
     entry_stats,
-    load_matrix,
     sample_matrix,
-    submatrix,
 )
 from .svm import SvmModel, TrainSpec, evaluate, predict, train
 from .transform import Transform, TransformConfig, build

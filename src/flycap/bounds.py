@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cap import cap_error_bound
-
 
 @dataclass(frozen=True)
 class BoundSpec:
@@ -94,8 +92,3 @@ def det_lower_threshold(m: int, p: float, epsilon: float) -> float:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     sigma2 = 2.0 * p * (1.0 - p)
     return 0.5 * m * math.log(sigma2) + 0.5 * math.lgamma(m + 1) - m ** (0.5 + epsilon)
-
-
-def capped_residual_bound(norm_p: float, k: int, p_norm: float) -> float:
-    """Alias of the cap residual bound, exposed beside the other evaluators."""
-    return cap_error_bound(norm_p, k, p_norm)

@@ -14,13 +14,11 @@ import argparse
 import shlex
 import sys
 
-import numpy as np
-
 from . import bounds as bounds_mod
 from . import data, experiments, svm, verify
+from .cap import cap_error_bound
 from .data import SplitSpec
 from .experiments import GridPoint, SweepSpec, SynthSpec
-from .reporting import atomic_write_text
 from .transform import TransformConfig, build
 
 DEFAULT_SEED = 42
@@ -42,18 +40,6 @@ def parse_int_grid(text: str) -> list[int]:
 
 def parse_float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
-
-
-def _json_path(out_csv: str) -> str:
-    if out_csv.endswith(".csv"):
-        return out_csv[: -len(".csv")] + ".json"
-    return out_csv + ".json"
-
-
-def _csv_path(out_json: str) -> str:
-    if out_json.endswith(".json"):
-        return out_json[: -len(".json")] + ".csv"
-    return out_json + ".csv"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,7 +184,7 @@ def _cmd_bounds(args) -> int:
     elif args.bound == "det":
         print(repr(bounds_mod.det_lower_threshold(args.m, args.p, args.epsilon)))
     else:
-        print(repr(bounds_mod.capped_residual_bound(args.norm, args.k, args.p_norm)))
+        print(repr(cap_error_bound(args.norm, args.k, args.p_norm)))
     return 0
 
 
@@ -225,7 +211,7 @@ def _cmd_verify(args, invocation: str) -> int:
         cfg = verify.McConfig(trials=args.trials, seed=args.seed, p=0.5)
         result = verify.cap_bound_sweep(cfg, length=args.length)
     result.write_csv(args.out, invocation)
-    result.write_json(_json_path(args.out), invocation)
+    result.write_json(args.out.removesuffix(".csv") + ".json", invocation)
     print(f"suite={result.suite} passed={result.passed} records={len(result.records)}")
     return 0 if result.passed else 2
 
@@ -300,7 +286,8 @@ def _cmd_sweep(args, invocation: str) -> int:
     )
     report = experiments.run_sweep(spec)
     report.write_json(args.out, invocation)
-    experiments.write_fig_csv(report, args.grid, _csv_path(args.out), invocation)
+    csv_path = args.out.removesuffix(".json") + ".csv"
+    experiments.write_fig_csv(report, args.grid, csv_path, invocation)
     print(
         f"baseline acc={report.baseline['acc_mean']:.4f} "
         f"records={len(report.records)}"

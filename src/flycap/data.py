@@ -271,12 +271,3 @@ def standardize(
         means,
         stds,
     )
-
-
-def average_time_frames(frames: np.ndarray) -> np.ndarray:
-    """Collapse a (dim x time) coefficient array to one dim-vector by
-    averaging over the time axis."""
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2:
-        raise ValueError(f"expected a 2-D (dim x time) array, got {frames.shape}")
-    return frames.mean(axis=1)

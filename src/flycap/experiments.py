@@ -8,8 +8,7 @@ transform) is computed once per sweep and echoed in every report.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from .data import FeatureDataset, SplitSpec
 from .reporting import atomic_write_text, records_to_csv_text, to_json_text
 from .seeding import check_seed, derive_seed
 from .svm import TrainSpec
-from .transform import Transform, TransformConfig, build
+from .transform import TransformConfig, build
 
 VARIANTS = ("baseline", "project", "cap")
 
@@ -131,10 +130,10 @@ def _load_source(spec: SweepSpec) -> FeatureDataset:
 
 def _run_cell(
     base: FeatureDataset, point: GridPoint, spec: SweepSpec, slot: int, repeat: int
-) -> tuple[float, float, float]:
+) -> tuple[float, float]:
     """One (grid point, repeat) pipeline run.
 
-    Returns (accuracy, train_seconds, nonzero_fraction). All randomness
+    Returns (accuracy, nonzero_fraction). All randomness
     is derived from (spec seed, slot, repeat); the split stream is
     shared across grid points of the same repeat so variants are
     compared on identical partitions.
@@ -173,18 +172,15 @@ def _run_cell(
         epochs=spec.train.epochs,
         seed=derive_seed(spec.train.seed, slot, repeat),
     )
-    started = time.perf_counter()
     model = svm.train(train_z, train_spec)
-    train_seconds = time.perf_counter() - started
-    return svm.evaluate(model, test_z), train_seconds, sparsity
+    return svm.evaluate(model, test_z), sparsity
 
 
 def _summarize(base, point, spec, slot) -> dict:
-    accs, times, sparsities = [], [], []
+    accs, sparsities = [], []
     for repeat in range(spec.repeats):
-        acc, secs, sparsity = _run_cell(base, point, spec, slot, repeat)
+        acc, sparsity = _run_cell(base, point, spec, slot, repeat)
         accs.append(acc)
-        times.append(secs)
         sparsities.append(sparsity)
     accs = np.array(accs)
     return {
@@ -195,7 +191,6 @@ def _summarize(base, point, spec, slot) -> dict:
         "variant": point.variant,
         "acc_mean": float(accs.mean()),
         "acc_std": float(accs.std(ddof=0)),
-        "train_seconds": float(np.mean(times)),
         "sparsity": float(np.mean(sparsities)),
     }
 
@@ -222,11 +217,7 @@ def _spec_echo(spec: SweepSpec) -> dict:
     echo = {
         "seed": spec.seed,
         "repeats": spec.repeats,
-        "split": {
-            "train_fraction": spec.split.train_fraction,
-            "seed": spec.split.seed,
-            "stratified": spec.split.stratified,
-        },
+        "split": asdict(spec.split),
         "train": {
             "lambda": spec.train.lambda_,
             "epochs": spec.train.epochs,
@@ -246,15 +237,7 @@ def _spec_echo(spec: SweepSpec) -> dict:
     if spec.dataset_path is not None:
         echo["dataset"] = spec.dataset_path
     else:
-        s = spec.synth
-        echo["synth"] = {
-            "num_classes": s.num_classes,
-            "per_class": s.per_class,
-            "dim": s.dim,
-            "center_scale": s.center_scale,
-            "noise_sigma": s.noise_sigma,
-            "seed": s.seed,
-        }
+        echo["synth"] = asdict(spec.synth)
     return echo
 
 

@@ -16,6 +16,8 @@ import numpy as np
 from .seeding import check_seed
 
 _MAX_POSITIONS = np.iinfo(np.int64).max
+# uniforms drawn per block of rows, so sampling memory follows the output
+_BLOCK_POSITIONS = 2**20
 
 
 @dataclass
@@ -68,24 +70,6 @@ class SparseSignMatrix:
         return self._row_ids
 
 
-def _validate_structure(m: SparseSignMatrix) -> None:
-    if m.indptr.shape != (m.n_rows + 1,) or m.indptr[0] != 0:
-        raise ValueError("malformed indptr")
-    if np.any(np.diff(m.indptr) < 0) or m.indptr[-1] != m.values.shape[0]:
-        raise ValueError("malformed indptr")
-    if m.indices.shape != m.values.shape:
-        raise ValueError("indices/values length mismatch")
-    if m.nnz:
-        if not np.all(np.isin(m.values, (-1, 1))):
-            raise ValueError("stored values must be exactly -1 or +1")
-        if m.indices.min() < 0 or m.indices.max() >= m.n_cols:
-            raise ValueError("column index out of range")
-        for r in range(m.n_rows):
-            cols = m.indices[m.indptr[r] : m.indptr[r + 1]]
-            if cols.size > 1 and np.any(np.diff(cols) <= 0):
-                raise ValueError(f"row {r}: column indices not strictly increasing")
-
-
 def _row_generator(seed: int) -> tuple[np.random.Generator, "callable"]:
     """One reusable Philox generator plus a rekey(row) function.
 
@@ -111,6 +95,18 @@ def _row_generator(seed: int) -> tuple[np.random.Generator, "callable"]:
     return gen, rekey
 
 
+def sign_entries(u: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzeros of a sign matrix drawn from a 2-D array of uniforms.
+
+    A uniform below p(1-p) maps to +1, one below 2p(1-p) to -1, and any
+    other to 0. Returns (rows, cols, values) of the nonzeros in row-major
+    order, values as int8.
+    """
+    q = p * (1.0 - p)
+    rows, cols = np.nonzero(u < 2.0 * q)
+    return rows, cols, np.where(u[rows, cols] < q, 1, -1).astype(np.int8)
+
+
 def sample_matrix(n_rows: int, n_cols: int, p: float, seed: int) -> SparseSignMatrix:
     """Draw a sparse sign matrix with i.i.d. difference-of-Bernoulli entries.
 
@@ -129,20 +125,24 @@ def sample_matrix(n_rows: int, n_cols: int, p: float, seed: int) -> SparseSignMa
         raise ValueError(f"{n_rows}x{n_cols} overflows the index type")
     seed = check_seed(seed)
 
-    q = p * (1.0 - p)
     gen, rekey = _row_generator(seed)
-    u = np.empty((n_rows, n_cols))
-    for i in range(n_rows):
-        rekey(i)
-        gen.random(out=u[i])
-
-    nz_rows, nz_cols = np.nonzero(u < 2.0 * q)
-    values = np.where(u[nz_rows, nz_cols] < q, 1, -1).astype(np.int8)
-    counts = np.bincount(nz_rows, minlength=n_rows).astype(np.int64)
+    block_rows = max(1, _BLOCK_POSITIONS // n_cols)
+    u = np.empty((min(block_rows, n_rows), n_cols))
+    counts, cols, values = [], [], []
+    for start in range(0, n_rows, block_rows):
+        block = u[: min(block_rows, n_rows - start)]
+        for i, row in enumerate(block, start):
+            rekey(i)
+            gen.random(out=row)
+        rows, block_cols, block_values = sign_entries(block, p)
+        counts.append(np.bincount(rows, minlength=block.shape[0]))
+        cols.append(block_cols)
+        values.append(block_values)
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
     return SparseSignMatrix(
-        n_rows, n_cols, p, seed, indptr, nz_cols.astype(np.int64), values
+        n_rows, n_cols, p, seed, indptr,
+        np.concatenate(cols).astype(np.int64, copy=False), np.concatenate(values),
     )
 
 
@@ -176,77 +176,3 @@ def entry_stats(m: SparseSignMatrix) -> EntryStats:
         variance=variance,
         sample_count=total,
     )
-
-
-def submatrix(m: SparseSignMatrix, row_indices) -> SparseSignMatrix:
-    """Extract rows in the given order; columns are untouched.
-
-    The result keeps the parent's (p, seed) as provenance; it is not
-    itself reproducible from those parameters alone.
-    """
-    row_indices = [int(r) for r in row_indices]
-    if len(set(row_indices)) != len(row_indices):
-        raise ValueError("row indices must be distinct")
-    for r in row_indices:
-        if not 0 <= r < m.n_rows:
-            raise ValueError(f"row index {r} out of range for {m.n_rows} rows")
-
-    chunks_cols = [m.indices[m.indptr[r] : m.indptr[r + 1]] for r in row_indices]
-    chunks_vals = [m.values[m.indptr[r] : m.indptr[r + 1]] for r in row_indices]
-    counts = np.array([c.size for c in chunks_cols], dtype=np.int64)
-    indptr = np.zeros(len(row_indices) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    indices = (
-        np.concatenate(chunks_cols) if indptr[-1] else np.empty(0, dtype=np.int64)
-    )
-    values = np.concatenate(chunks_vals) if indptr[-1] else np.empty(0, dtype=np.int8)
-    return SparseSignMatrix(
-        len(row_indices), m.n_cols, m.p, m.seed, indptr, indices, values
-    )
-
-
-def dump_matrix(m: SparseSignMatrix, path) -> None:
-    """Write the text form: header `n m p seed`, then one `row col value` line per entry."""
-    lines = [f"{m.n_rows} {m.n_cols} {m.p!r} {m.seed}"]
-    rows = np.repeat(np.arange(m.n_rows), np.diff(m.indptr))
-    for r, c, v in zip(rows, m.indices, m.values):
-        lines.append(f"{r} {c} {v}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_matrix(path) -> SparseSignMatrix:
-    """Read the text form written by dump_matrix; the round trip is lossless."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 4:
-            raise ValueError(f"{path}: malformed header")
-        n_rows, n_cols = int(header[0]), int(header[1])
-        p, seed = float(header[2]), int(header[3])
-        triples = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected `row col value`")
-            triples.append((int(parts[0]), int(parts[1]), int(parts[2])))
-
-    counts = np.zeros(n_rows, dtype=np.int64)
-    for r, _, _ in triples:
-        if not 0 <= r < n_rows:
-            raise ValueError(f"{path}: row index {r} out of range")
-        counts[r] += 1
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    indices = np.empty(len(triples), dtype=np.int64)
-    values = np.empty(len(triples), dtype=np.int8)
-    cursor = indptr[:-1].copy()
-    for r, c, v in triples:
-        indices[cursor[r]] = c
-        values[cursor[r]] = v
-        cursor[r] += 1
-    m = SparseSignMatrix(n_rows, n_cols, p, seed, indptr, indices, values)
-    _validate_structure(m)
-    return m

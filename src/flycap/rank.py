@@ -1,14 +1,14 @@
 """Exact singularity testing for integer matrices.
 
 Floating-point determinants near zero cannot certify singularity, so
-invertibility is decided over prime fields: a matrix that is singular
-over the rationals is singular modulo every prime, while a nonsingular
-integer matrix vanishes modulo a given prime with probability on the
-order of m/prime. Verdicts are taken modulo two distinct primes; in the
-(astronomically rare) event that they disagree, an exact fraction-free
-big-integer elimination settles it.
+every verdict here is a proof. Full rank modulo one prime proves the
+determinant nonzero. A zero row or column proves it zero; that is how
+almost every singular sparse sign matrix is singular. Any other matrix
+singular modulo the prime (a nonsingular integer matrix is, with
+probability on the order of m/prime) goes to an exact fraction-free
+big-integer elimination.
 
-The primes sit just below 2^31 so that products of two residues fit in
+The prime sits just below 2^31 so that products of two residues fit in
 int64 and the elimination stays vectorized.
 """
 
@@ -16,37 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 
-PRIMES = (2147483647, 2147483629)
+PRIME = 2147483647
 
 
-def rank_mod_prime(a: np.ndarray, prime: int) -> int:
-    """Rank of an integer matrix over GF(prime), by Gaussian elimination."""
-    a = np.mod(np.asarray(a, dtype=np.int64), prime)
-    n_rows, n_cols = a.shape
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        pivots = np.flatnonzero(a[r:, c])
-        if pivots.size == 0:
-            continue
-        piv = r + pivots[0]
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), -1, prime)
-        a[r, c:] = a[r, c:] * inv % prime
-        below = np.flatnonzero(a[r + 1 :, c])
-        if below.size:
-            rows = r + 1 + below
-            # residues < 2^31, so the outer product fits in int64
-            a[rows, c:] = (a[rows, c:] - np.outer(a[rows, c], a[r, c:])) % prime
-        r += 1
-    return r
-
-
-def _full_rank_mod(a: np.ndarray, prime: int) -> bool:
-    """Early-exit full-rank test for a square matrix over GF(prime)."""
-    a = np.mod(np.asarray(a, dtype=np.int64), prime)
+def _full_rank_mod(a: np.ndarray) -> bool:
+    """Early-exit full-rank test for a square matrix over GF(PRIME)."""
+    a = np.mod(np.asarray(a, dtype=np.int64), PRIME)
     m = a.shape[0]
     for c in range(m):
         pivots = np.flatnonzero(a[c:, c])
@@ -55,12 +30,13 @@ def _full_rank_mod(a: np.ndarray, prime: int) -> bool:
         piv = c + pivots[0]
         if piv != c:
             a[[c, piv]] = a[[piv, c]]
-        inv = pow(int(a[c, c]), -1, prime)
-        a[c, c:] = a[c, c:] * inv % prime
+        inv = pow(int(a[c, c]), -1, PRIME)
+        a[c, c:] = a[c, c:] * inv % PRIME
         below = np.flatnonzero(a[c + 1 :, c])
         if below.size:
             rows = c + 1 + below
-            a[rows, c:] = (a[rows, c:] - np.outer(a[rows, c], a[c, c:])) % prime
+            # residues < 2^31, so the outer product fits in int64
+            a[rows, c:] = (a[rows, c:] - np.outer(a[rows, c], a[c, c:])) % PRIME
     return True
 
 
@@ -90,16 +66,15 @@ def det_exact(a: np.ndarray) -> int:
 def is_invertible(a: np.ndarray) -> bool:
     """Exact invertibility verdict for a square integer matrix.
 
-    Full rank modulo the first prime already proves a nonzero
-    determinant, so the second prime is only consulted when the first
-    says singular; if the two primes disagree, the exact big-integer
-    determinant decides.
+    Full rank modulo PRIME proves invertibility and a zero row or column
+    proves singularity; only a matrix that is neither falls back to the
+    exact big-integer determinant.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if _full_rank_mod(a, PRIMES[0]):
+    if _full_rank_mod(a):
         return True
-    if not _full_rank_mod(a, PRIMES[1]):
+    if not (a.any(axis=0).all() and a.any(axis=1).all()):
         return False
     return det_exact(a) != 0

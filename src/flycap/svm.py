@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FeatureDataset
-from .reporting import atomic_write_text
 from .seeding import check_seed, derive_rng
 
 
@@ -158,34 +157,3 @@ def objective(model: SvmModel, d: FeatureDataset) -> float:
     hinge = np.maximum(0.0, 1.0 - targets * scores).mean(axis=1)
     reg = 0.5 * model.lambda_ * (model.weights**2).sum(axis=1)
     return float((hinge + reg).sum())
-
-
-def save_model(model: SvmModel, path, invocation: str | None = None) -> None:
-    """Text form: one dimensions line, then one weight row per line."""
-    lines = [
-        f"{model.num_classes} {model.dim} {model.lambda_!r} {model.epochs} {model.seed}"
-    ]
-    for row in model.weights:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n", invocation)
-
-
-def load_model(path) -> SvmModel:
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
-    head = lines[0].split()
-    if len(head) != 5:
-        raise ValueError(f"{path}: malformed model header")
-    num_classes, dim = int(head[0]), int(head[1])
-    lambda_, epochs, seed = float(head[2]), int(head[3]), int(head[4])
-    rows = [np.array([float(v) for v in ln.split()]) for ln in lines[1:]]
-    if len(rows) != num_classes:
-        raise ValueError(f"{path}: expected {num_classes} weight rows, got {len(rows)}")
-    return SvmModel(
-        weights=np.vstack(rows),
-        num_classes=num_classes,
-        dim=dim,
-        lambda_=lambda_,
-        epochs=epochs,
-        seed=seed,
-    )

@@ -40,36 +40,6 @@ class TransformConfig:
             )
         check_seed(self.seed)
 
-    def to_kv_text(self) -> str:
-        """Flat key-value block (keys m, n, p, k, seed) for report embedding."""
-        return (
-            f"m={self.input_dim}\n"
-            f"n={self.output_dim}\n"
-            f"p={self.bernoulli_p!r}\n"
-            f"k={self.cap_k}\n"
-            f"seed={self.seed}\n"
-        )
-
-    @classmethod
-    def from_kv_text(cls, text: str) -> "TransformConfig":
-        fields = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
-        missing = {"m", "n", "p", "k", "seed"} - fields.keys()
-        if missing:
-            raise ValueError(f"key-value block missing {sorted(missing)}")
-        return cls(
-            input_dim=int(fields["m"]),
-            output_dim=int(fields["n"]),
-            bernoulli_p=float(fields["p"]),
-            cap_k=int(fields["k"]),
-            seed=int(fields["seed"]),
-        )
-
 
 @dataclass(eq=False)
 class Transform:
@@ -88,33 +58,22 @@ class Transform:
         Every row goes through the exact single-vector path, so a batch
         equals the per-row loop bit-for-bit.
         """
-        rows = _as_2d(rows, self.config.input_dim)
+        try:
+            rows = np.asarray(rows, dtype=np.float64)
+        except ValueError:
+            raise ValueError("ragged rows: every row must have the same length") from None
+        if rows.ndim == 1 and rows.shape[0] == 0:
+            rows = rows.reshape(0, self.config.input_dim)
+        if rows.ndim != 2:
+            raise ValueError(f"expected a 2-D batch, got shape {rows.shape}")
+        if rows.shape[1] != self.config.input_dim:
+            raise ValueError(
+                f"rows have length {rows.shape[1]}, "
+                f"transform expects {self.config.input_dim}"
+            )
         if rows.shape[0] == 0:
             return np.empty((0, self.config.output_dim))
         return np.stack([self.forward(row) for row in rows])
-
-
-def _as_2d(rows, expected_dim: int) -> np.ndarray:
-    arr = np.asarray(rows, dtype=object if _is_ragged(rows) else np.float64)
-    if arr.dtype == object:
-        raise ValueError("ragged rows: every row must have the same length")
-    if arr.ndim != 2:
-        if arr.ndim == 1 and arr.shape[0] == 0:
-            return arr.reshape(0, expected_dim)
-        raise ValueError(f"expected a 2-D batch, got shape {arr.shape}")
-    if arr.shape[1] != expected_dim:
-        raise ValueError(
-            f"rows have length {arr.shape[1]}, transform expects {expected_dim}"
-        )
-    return arr
-
-
-def _is_ragged(rows) -> bool:
-    try:
-        np.asarray(rows, dtype=np.float64)
-        return False
-    except ValueError:
-        return True
 
 
 def build(config: TransformConfig) -> Transform:

@@ -9,7 +9,7 @@ depend on the degree of parallelism.
 from __future__ import annotations
 
 import math
-import time
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -17,7 +17,6 @@ import numpy as np
 
 from . import projection, rank
 from .bounds import BoundSpec, det_lower_threshold, jl_success_bound
-from .cap import cap_error_bound
 from .reporting import atomic_write_text, records_to_csv_text, to_json_text
 from .seeding import check_seed, derive_rng, derive_seed
 
@@ -36,7 +35,8 @@ class McConfig:
     """Common knobs for the Monte Carlo suites.
 
     grid is the list of dimensions being swept (meaning depends on the
-    suite); workers > 1 parallelizes trials for the invertibility suite.
+    suite); workers > 1 parallelizes trials for the invertibility suite,
+    with at most one worker per CPU.
     """
 
     trials: int
@@ -58,21 +58,17 @@ class McConfig:
                 raise ValueError("grid must be strictly increasing")
             if self.grid[0] < 1:
                 raise ValueError("grid entries must be positive")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        cpus = os.cpu_count() or 1
+        if not 1 <= self.workers <= cpus:
+            raise ValueError(f"workers must lie in [1, {cpus}], got {self.workers}")
 
 
 @dataclass
 class SuiteResult:
-    """One suite run: per-grid-point records plus wall time.
-
-    wall_seconds is runtime metadata and is deliberately excluded from
-    the serialized CSV/JSON so that reruns are byte-identical.
-    """
+    """One suite run: its per-grid-point records."""
 
     suite: str
     records: list[dict] = field(default_factory=list)
-    wall_seconds: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -96,10 +92,11 @@ def _proportion_stderr(q: float, trials: int) -> float:
 
 
 def sample_square_sign_matrix(rng: np.random.Generator, m: int, p: float) -> np.ndarray:
-    """Dense m x m draw with difference-of-Bernoulli entries, one rng call."""
-    q = p * (1.0 - p)
-    u = rng.random((m, m))
-    return np.where(u < q, 1, np.where(u < 2.0 * q, -1, 0)).astype(np.int64)
+    """Dense int64 m x m draw with difference-of-Bernoulli entries, one rng call."""
+    a = np.zeros((m, m), dtype=np.int64)
+    rows, cols, values = projection.sign_entries(rng.random((m, m)), p)
+    a[rows, cols] = values
+    return a
 
 
 def _invertible_count(seed: int, p: float, m: int, lo: int, hi: int) -> int:
@@ -112,6 +109,22 @@ def _invertible_count(seed: int, p: float, m: int, lo: int, hi: int) -> int:
     return count
 
 
+def _invertible_counts(cfg: McConfig) -> list[int]:
+    """Invertible trials per grid m; workers > 1 share one process pool."""
+    if cfg.workers == 1:
+        return [_invertible_count(cfg.seed, cfg.p, m, 0, cfg.trials) for m in cfg.grid]
+    cuts = np.linspace(0, cfg.trials, cfg.workers + 1, dtype=int).tolist()
+    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        futures = [
+            [
+                pool.submit(_invertible_count, cfg.seed, cfg.p, m, lo, hi)
+                for lo, hi in zip(cuts[:-1], cuts[1:])
+            ]
+            for m in cfg.grid
+        ]
+        return [sum(f.result() for f in per_m) for per_m in futures]
+
+
 def invertibility_curve(cfg: McConfig) -> SuiteResult:
     """Fraction of exactly-invertible m x m sign matrices, per grid m.
 
@@ -121,19 +134,8 @@ def invertibility_curve(cfg: McConfig) -> SuiteResult:
     """
     if not cfg.grid:
         raise ValueError("invertibility_curve needs a grid of m values")
-    start = time.perf_counter()
     records = []
-    for m in cfg.grid:
-        if cfg.workers > 1:
-            bounds_ = np.linspace(0, cfg.trials, cfg.workers + 1, dtype=int)
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                futures = [
-                    pool.submit(_invertible_count, cfg.seed, cfg.p, m, int(lo), int(hi))
-                    for lo, hi in zip(bounds_[:-1], bounds_[1:])
-                ]
-                count = sum(f.result() for f in futures)
-        else:
-            count = _invertible_count(cfg.seed, cfg.p, m, 0, cfg.trials)
+    for m, count in zip(cfg.grid, _invertible_counts(cfg)):
         estimate = count / cfg.trials
         stderr = _proportion_stderr(estimate, cfg.trials)
         if m == 1:
@@ -155,7 +157,7 @@ def invertibility_curve(cfg: McConfig) -> SuiteResult:
                 "passed": passed,
             }
         )
-    return SuiteResult("invertibility", records, time.perf_counter() - start)
+    return SuiteResult("invertibility", records)
 
 
 def distance_preserved(
@@ -182,7 +184,6 @@ def jl_preservation(cfg: McConfig, m: int, n: int) -> SuiteResult:
     """
     if not 0.0 < cfg.epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {cfg.epsilon}")
-    start = time.perf_counter()
     hits = 0
     for trial in range(cfg.trials):
         mat_seed = derive_seed(cfg.seed, _TAG_JL_MATRIX, trial)
@@ -208,7 +209,7 @@ def jl_preservation(cfg: McConfig, m: int, n: int) -> SuiteResult:
         "bound": bound,
         "passed": estimate >= bound - 3.0 * stderr,
     }
-    return SuiteResult("jl_preservation", [record], time.perf_counter() - start)
+    return SuiteResult("jl_preservation", [record])
 
 
 def operator_norm(
@@ -252,7 +253,6 @@ def opnorm_scaling(cfg: McConfig, m: int, n_grid) -> SuiteResult:
     n_grid = [int(n) for n in n_grid]
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])) or not n_grid:
         raise ValueError("n_grid must be nonempty and strictly increasing")
-    start = time.perf_counter()
     sigma = math.sqrt(2.0 * cfg.p * (1.0 - cfg.p))
     records = []
     for n in n_grid:
@@ -281,7 +281,7 @@ def opnorm_scaling(cfg: McConfig, m: int, n_grid) -> SuiteResult:
                 "unconverged": unconverged,
             }
         )
-    return SuiteResult("opnorm_scaling", records, time.perf_counter() - start)
+    return SuiteResult("opnorm_scaling", records)
 
 
 def det_bound_incidence(cfg: McConfig, m: int, epsilon: float) -> SuiteResult:
@@ -294,7 +294,6 @@ def det_bound_incidence(cfg: McConfig, m: int, epsilon: float) -> SuiteResult:
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    start = time.perf_counter()
     threshold = det_lower_threshold(m, cfg.p, epsilon)
     above = 0
     for trial in range(cfg.trials):
@@ -314,7 +313,7 @@ def det_bound_incidence(cfg: McConfig, m: int, epsilon: float) -> SuiteResult:
         "bound": threshold,
         "passed": True,
     }
-    return SuiteResult("det_bound", [record], time.perf_counter() - start)
+    return SuiteResult("det_bound", [record])
 
 
 # relative slack for float evaluation of inequalities that hold exactly
@@ -344,7 +343,6 @@ def cap_bound_sweep(cfg: McConfig, length: int) -> SuiteResult:
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    start = time.perf_counter()
     p_norms = (0.5, 1.0, 1.5)
     violations = {p_norm: 0 for p_norm in p_norms}
     checks = {p_norm: 0 for p_norm in p_norms}
@@ -377,4 +375,4 @@ def cap_bound_sweep(cfg: McConfig, length: int) -> SuiteResult:
                 "passed": violations[p_norm] == 0,
             }
         )
-    return SuiteResult("cap_bound", records, time.perf_counter() - start)
+    return SuiteResult("cap_bound", records)

@@ -8,7 +8,6 @@ import pytest
 
 from flycap.bounds import (
     BoundSpec,
-    capped_residual_bound,
     det_lower_threshold,
     entry_moments,
     jl_success_bound,
@@ -138,12 +137,8 @@ class TestDetLowerThreshold:
 
 
 class TestCappedResidualBound:
-    def test_delegates_to_cap_bound(self):
-        for args in ((7.0, 0, 1.0), (10.0, 3, 1.0), (2.5, 9, 0.7)):
-            assert capped_residual_bound(*args) == cap_error_bound(*args)
-
     def test_k_zero_identity(self):
-        assert capped_residual_bound(7.0, 0, 1.0) == 7.0
+        assert cap_error_bound(7.0, 0, 1.0) == 7.0
 
     def test_monte_carlo_residuals(self):
         rng = np.random.default_rng(13)
@@ -154,4 +149,4 @@ class TestCappedResidualBound:
             residual = np.linalg.norm(x - cap(x, k).vector)
             for p in (0.5, 1.0, 1.5):
                 norm_p = float(np.sum(np.abs(x) ** p) ** (1.0 / p))
-                assert residual <= capped_residual_bound(norm_p, k, p) * (1 + 1e-12)
+                assert residual <= cap_error_bound(norm_p, k, p) * (1 + 1e-12)

@@ -87,7 +87,6 @@ class TestVerifyCommand:
         failing = verify.SuiteResult(
             "jl_preservation",
             [{"estimate": 0.0, "bound": 1.0, "passed": False}],
-            0.0,
         )
         monkeypatch.setattr(verify, "jl_preservation", lambda *a, **k: failing)
         monkeypatch.setattr(cli.verify, "jl_preservation", lambda *a, **k: failing)
@@ -192,6 +191,22 @@ class TestSweepCommand:
         assert table[0].startswith("# flycap sweep")
         assert table[1] == "noise,variant,acc_mean,acc_std,repeats"
         assert len(table) == 2 + 6
+
+    def test_rerun_is_byte_identical(self, tmp_path):
+        args = [
+            "sweep", "--dataset", "synth", "--grid", "k",
+            "--axis", "0,4", "--repeats", "1",
+            "--classes", "3", "--per-class", "8", "--dim", "10",
+            "--n", "16", "--epochs", "2", "--seed", "4",
+            "--out", str(tmp_path / "k.json"),
+        ]
+        outputs = []
+        for _ in range(2):
+            assert main(args) == 0
+            outputs.append(
+                ((tmp_path / "k.json").read_bytes(), (tmp_path / "k.csv").read_bytes())
+            )
+        assert outputs[0] == outputs[1]
 
     def test_p_sweep_tiny(self, tmp_path):
         out = tmp_path / "fig3.json"

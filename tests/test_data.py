@@ -10,7 +10,6 @@ from flycap.data import (
     FeatureDataset,
     SplitSpec,
     add_noise,
-    average_time_frames,
     load_csv,
     save_csv,
     split,
@@ -258,13 +257,3 @@ class TestStandardize:
         empty = FeatureDataset(np.empty((0, 3)), np.empty(0, dtype=int))
         with pytest.raises(ValueError):
             standardize(empty, empty)
-
-
-class TestAverageTimeFrames:
-    def test_mean_over_time_axis(self):
-        frames = np.array([[1.0, 3.0], [10.0, 20.0]])
-        np.testing.assert_allclose(average_time_frames(frames), [2.0, 15.0])
-
-    def test_rejects_1d(self):
-        with pytest.raises(ValueError):
-            average_time_frames(np.zeros(5))

@@ -6,14 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from flycap import projection
 from flycap.projection import (
     SparseSignMatrix,
     apply,
-    dump_matrix,
     entry_stats,
-    load_matrix,
     sample_matrix,
-    submatrix,
+    sign_entries,
 )
 
 
@@ -81,10 +80,29 @@ class TestSampling:
         because row i depends only on (seed, i, n_cols)."""
         tall = sample_matrix(30, 25, 0.2, 9)
         short = sample_matrix(6, 25, 0.2, 9)
-        lead = submatrix(tall, range(6))
-        assert np.array_equal(short.indptr, lead.indptr)
-        assert np.array_equal(short.indices, lead.indices)
-        assert np.array_equal(short.values, lead.values)
+        end = tall.indptr[6]
+        assert np.array_equal(short.indptr, tall.indptr[:7])
+        assert np.array_equal(short.indices, tall.indices[:end])
+        assert np.array_equal(short.values, tall.values[:end])
+
+    def test_blocks_match_per_row_streams(self):
+        """Across block boundaries, row i is Philox keyed by (seed, i)
+        with the counter at zero, mapped by the shared sign rule."""
+        n_rows, n_cols, p, seed = 8, 300_000, 0.1, 2**63 + 3
+        block_rows = projection._BLOCK_POSITIONS // n_cols
+        assert -(-n_rows // block_rows) >= 3
+        m = sample_matrix(n_rows, n_cols, p, seed)
+        u = np.stack([
+            np.random.Generator(
+                np.random.Philox(key=np.array([seed, i], dtype=np.uint64))
+            ).random(n_cols)
+            for i in range(n_rows)
+        ])
+        rows, cols, values = sign_entries(u, p)
+        counts = np.bincount(rows, minlength=n_rows)
+        assert np.array_equal(m.indptr, np.concatenate([[0], np.cumsum(counts)]))
+        assert np.array_equal(m.indices, cols)
+        assert np.array_equal(m.values, values)
 
     def test_storage_invariants(self):
         m = sample_matrix(80, 60, 0.3, 5)
@@ -195,56 +213,3 @@ class TestApply:
             apply(m, np.zeros(6))
         with pytest.raises(ValueError):
             apply(m, np.array([1.0, np.nan, 0.0, 0.0, 0.0]))
-
-
-class TestSubmatrix:
-    def test_identity_selection(self):
-        m = sample_matrix(20, 15, 0.2, 3)
-        same = submatrix(m, range(20))
-        assert np.array_equal(same.indptr, m.indptr)
-        assert np.array_equal(same.indices, m.indices)
-        assert np.array_equal(same.values, m.values)
-
-    def test_single_row(self):
-        m = sample_matrix(20, 15, 0.3, 3)
-        one = submatrix(m, [7])
-        assert one.shape == (1, 15)
-        assert np.array_equal(one.indices, m.indices[m.indptr[7] : m.indptr[8]])
-
-    def test_permutation_round_trip(self):
-        m = sample_matrix(25, 10, 0.3, 9)
-        rng = np.random.default_rng(5)
-        perm = rng.permutation(25)
-        inverse = np.argsort(perm)
-        back = submatrix(submatrix(m, perm), inverse)
-        assert np.array_equal(back.indptr, m.indptr)
-        assert np.array_equal(back.indices, m.indices)
-        assert np.array_equal(back.values, m.values)
-
-    def test_errors(self):
-        m = sample_matrix(5, 5, 0.2, 1)
-        with pytest.raises(ValueError):
-            submatrix(m, [0, 0])
-        with pytest.raises(ValueError):
-            submatrix(m, [5])
-        with pytest.raises(ValueError):
-            submatrix(m, [-1])
-
-
-class TestDumpLoad:
-    def test_round_trip(self, tmp_path):
-        m = sample_matrix(30, 12, 0.17, 99)
-        path = tmp_path / "matrix.txt"
-        dump_matrix(m, path)
-        back = load_matrix(path)
-        assert (back.n_rows, back.n_cols) == (30, 12)
-        assert back.p == m.p and back.seed == m.seed
-        assert np.array_equal(back.indptr, m.indptr)
-        assert np.array_equal(back.indices, m.indices)
-        assert np.array_equal(back.values, m.values)
-
-    def test_rejects_bad_values(self, tmp_path):
-        path = tmp_path / "matrix.txt"
-        path.write_text("2 2 0.5 0\n0 0 2\n")
-        with pytest.raises(ValueError):
-            load_matrix(path)

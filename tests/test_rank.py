@@ -3,40 +3,13 @@
 import numpy as np
 import pytest
 
-from flycap.rank import PRIMES, det_exact, is_invertible, rank_mod_prime
+import flycap.rank as rank
+from flycap.rank import PRIME, det_exact, is_invertible
 
 
 def test_primes_are_prime():
-    for p in PRIMES:
-        assert p > 2
-        assert all(p % d for d in range(2, int(p**0.5) + 1))
-
-
-class TestRankModPrime:
-    def test_identity(self):
-        assert rank_mod_prime(np.eye(5, dtype=np.int64), PRIMES[0]) == 5
-
-    def test_zero_matrix(self):
-        assert rank_mod_prime(np.zeros((4, 6), dtype=np.int64), PRIMES[0]) == 0
-
-    def test_rank_deficient(self):
-        a = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-        assert rank_mod_prime(a, PRIMES[0]) == 2
-
-    def test_rectangular(self):
-        a = np.array([[1, 0, 1, 0], [0, 1, 1, 0]])
-        assert rank_mod_prime(a, PRIMES[0]) == 2
-
-    def test_matches_numpy_on_random_sign_matrices(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            m = int(rng.integers(1, 8))
-            a = rng.integers(-1, 2, size=(m, m))
-            # sign-matrix determinants are far below the primes, so the
-            # mod-p rank equals the rational rank here
-            assert rank_mod_prime(a, PRIMES[0]) == np.linalg.matrix_rank(
-                a.astype(float)
-            )
+    assert PRIME > 2
+    assert all(PRIME % d for d in range(2, int(PRIME**0.5) + 1))
 
 
 class TestDetExact:
@@ -59,7 +32,7 @@ class TestDetExact:
 
 class TestIsInvertible:
     def test_agrees_with_exact_determinant(self):
-        """Two-prime verdict equals the big-integer oracle on 500 random
+        """The certified verdict equals the big-integer oracle on 500 random
         sign matrices."""
         rng = np.random.default_rng(2)
         for _ in range(500):
@@ -74,6 +47,26 @@ class TestIsInvertible:
     def test_invertible_examples(self):
         assert is_invertible(np.eye(4, dtype=np.int64))
         assert is_invertible(np.array([[1, 1], [0, -1]]))
+
+    def test_determinant_divisible_by_the_prime(self):
+        """Singular modulo the prime but not over the integers: the exact
+        determinant decides."""
+        assert is_invertible(np.array([[PRIME * 2147483629]]))
+        assert is_invertible(np.diag([PRIME, PRIME]))
+
+    def test_singular_without_zero_row_or_column(self, monkeypatch):
+        """Rows equal up to sign leave no zero row or column, so the
+        singular verdict comes from the exact determinant."""
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return det_exact(a)
+
+        monkeypatch.setattr(rank, "det_exact", counted)
+        a = np.array([[1, -1, 1], [-1, 1, -1], [0, 1, 1]])
+        assert not is_invertible(a)
+        assert len(calls) == 1
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):

@@ -8,11 +8,9 @@ from flycap.svm import (
     SvmModel,
     TrainSpec,
     evaluate,
-    load_model,
     objective,
     predict,
     predict_batch,
-    save_model,
     train,
 )
 
@@ -136,15 +134,3 @@ class TestEvaluate:
         empty = FeatureDataset(np.empty((0, 3)), np.empty(0, dtype=int))
         with pytest.raises(ValueError):
             evaluate(model, empty)
-
-
-class TestSaveLoad:
-    def test_round_trip(self, tmp_path):
-        d = synth_blobs(3, 15, 6, 1.0, 0.3, 19)
-        model = train(d, TrainSpec(lambda_=1e-3, epochs=3, seed=20))
-        path = tmp_path / "model.txt"
-        save_model(model, path)
-        back = load_model(path)
-        assert np.array_equal(back.weights, model.weights)
-        assert (back.num_classes, back.dim) == (model.num_classes, model.dim)
-        assert back.lambda_ == model.lambda_

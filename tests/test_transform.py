@@ -33,14 +33,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             TransformConfig(input_dim=5, output_dim=5, bernoulli_p=0.1, cap_k=-1, seed=0)
 
-    def test_kv_round_trip(self):
-        config = small_config()
-        assert TransformConfig.from_kv_text(config.to_kv_text()) == config
-
-    def test_kv_missing_key(self):
-        with pytest.raises(ValueError):
-            TransformConfig.from_kv_text("m=3\nn=5\n")
-
 
 class TestForward:
     def test_zero_input_gives_zero_output(self):

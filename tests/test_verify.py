@@ -3,6 +3,7 @@ regressions, and determinism of serialized outputs."""
 
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -44,6 +45,8 @@ class TestMcConfig:
             McConfig(trials=5, seed=1, p=0.1, grid=(3, 2))
         with pytest.raises(ValueError):
             McConfig(trials=5, seed=1, p=0.1, workers=0)
+        with pytest.raises(ValueError, match="workers"):
+            McConfig(trials=5, seed=1, p=0.1, workers=os.cpu_count() + 1)
 
 
 class TestSquareSampling:
@@ -55,6 +58,16 @@ class TestSquareSampling:
         for value, prob in ((1, q), (-1, q), (0, 1 - 2 * q)):
             se = math.sqrt(prob * (1 - prob) / total)
             assert abs(np.mean(a == value) - prob) <= 5 * se
+
+    def test_matches_dense_sign_rule(self):
+        """The scattered nonzeros equal the dense mapping of the same
+        uniforms: +1 below p(1-p), -1 below 2p(1-p), else 0."""
+        for m, p in ((1, 0.05), (37, 0.3), (100, 0.05)):
+            a = sample_square_sign_matrix(np.random.default_rng(m), m, p)
+            u = np.random.default_rng(m).random((m, m))
+            q = p * (1.0 - p)
+            want = np.where(u < q, 1, np.where(u < 2.0 * q, -1, 0)).astype(np.int64)
+            assert a.dtype == want.dtype and np.array_equal(a, want)
 
 
 class TestInvertibilityCurve:
@@ -253,10 +266,3 @@ class TestSerialization:
         result.write_csv(out, header_line="flycap verify cap --length 20")
         first = out.read_text().splitlines()[0]
         assert first == "# flycap verify cap --length 20"
-
-    def test_wall_time_not_serialized(self, tmp_path):
-        result = cap_bound_sweep(McConfig(trials=10, seed=1, p=0.5), length=20)
-        assert result.wall_seconds > 0.0
-        out = tmp_path / "cap.json"
-        result.write_json(out)
-        assert "wall" not in out.read_text()
