@@ -1,43 +1,48 @@
-"""Exact singularity testing for integer matrices.
+"""Exact invertibility of integer matrices: the first step that applies decides.
 
-Floating-point determinants near zero cannot certify singularity, so
-every verdict here is a proof. Full rank modulo one prime proves the
-determinant nonzero. A zero row or column proves it zero; that is how
-almost every singular sparse sign matrix is singular. Any other matrix
-singular modulo the prime (a nonsingular integer matrix is, with
-probability on the order of m/prime) goes to an exact fraction-free
-big-integer elimination.
-
-The prime sits just below 2^31 so that products of two residues fit in
-int64 and the elimination stays vectorized.
+1. A zero row or column proves singular (how almost every singular
+   sparse sign matrix is singular).
+2. A residual certificate proves invertible. X = rint(s * inv(a)) with
+   s = 2^e, e >= 0, and every row of X has sum_k |X_ik| * max|a| <= 2^52,
+   so every partial sum of X @ a is an integer below 2^53 and the float64
+   product is exact in any order. If E = s*I - X @ a has every absolute
+   row sum below s (in int64), ||I - (X/s) a||_inf < 1.
+3. Otherwise the exact fraction-free big-integer determinant decides.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-PRIME = 2147483647
 
-
-def _full_rank_mod(a: np.ndarray) -> bool:
-    """Early-exit full-rank test for a square matrix over GF(PRIME)."""
-    a = np.mod(np.asarray(a, dtype=np.int64), PRIME)
+def _certified_invertible(a: np.ndarray) -> bool:
+    """True proves the square integer matrix a nonsingular; False proves nothing."""
+    amax = max(int(a.max()), -int(a.min()))
+    if amax > 2**20:
+        return False
+    try:
+        r = np.linalg.inv(a.astype(np.float64))
+    except np.linalg.LinAlgError:
+        return False
+    row_norm = float(np.abs(r).sum(axis=1).max())
+    if not 0.0 < row_norm < math.inf:
+        return False
     m = a.shape[0]
-    for c in range(m):
-        pivots = np.flatnonzero(a[c:, c])
-        if pivots.size == 0:
-            return False
-        piv = c + pivots[0]
-        if piv != c:
-            a[[c, piv]] = a[[piv, c]]
-        inv = pow(int(a[c, c]), -1, PRIME)
-        a[c, c:] = a[c, c:] * inv % PRIME
-        below = np.flatnonzero(a[c + 1 :, c])
-        if below.size:
-            rows = c + 1 + below
-            # residues < 2^31, so the outer product fits in int64
-            a[rows, c:] = (a[rows, c:] - np.outer(a[rows, c], a[c, c:])) % PRIME
-    return True
+    budget = 2**52 // amax
+    # rint adds <= 1/2 per entry; m * s < 2^62 keeps E's clipped row sums in int64
+    e = min(math.frexp((budget - m) / row_norm)[1] - 1, 62 - m.bit_length())
+    if e < 0:
+        return False
+    s = 2**e
+    x = np.rint(r * s)
+    # float sums of integers are exact below 2^53 and round monotonically above
+    if np.abs(x).sum(axis=1).max() > budget:
+        return False
+    resid = (x @ a.astype(np.float64)).astype(np.int64)
+    resid[np.diag_indices(m)] -= s
+    return bool(np.minimum(np.abs(resid), s).sum(axis=1).max() < s)
 
 
 def det_exact(a: np.ndarray) -> int:
@@ -64,17 +69,12 @@ def det_exact(a: np.ndarray) -> int:
 
 
 def is_invertible(a: np.ndarray) -> bool:
-    """Exact invertibility verdict for a square integer matrix.
-
-    Full rank modulo PRIME proves invertibility and a zero row or column
-    proves singularity; only a matrix that is neither falls back to the
-    exact big-integer determinant.
-    """
+    """Exact invertibility of a nonempty square integer matrix (steps above)."""
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if _full_rank_mod(a):
-        return True
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
+    if not np.issubdtype(a.dtype, np.integer):
+        raise ValueError(f"expected an integer matrix, got dtype {a.dtype}")
     if not (a.any(axis=0).all() and a.any(axis=1).all()):
         return False
-    return det_exact(a) != 0
+    return _certified_invertible(a) or det_exact(a) != 0

@@ -60,8 +60,8 @@ class Transform:
         """
         try:
             rows = np.asarray(rows, dtype=np.float64)
-        except ValueError:
-            raise ValueError("ragged rows: every row must have the same length") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"rows must form a rectangular array of numbers: {exc}") from None
         if rows.ndim == 1 and rows.shape[0] == 0:
             rows = rows.reshape(0, self.config.input_dim)
         if rows.ndim != 2:

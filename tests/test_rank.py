@@ -4,12 +4,37 @@ import numpy as np
 import pytest
 
 import flycap.rank as rank
-from flycap.rank import PRIME, det_exact, is_invertible
+from flycap.rank import _certified_invertible, det_exact, is_invertible
+from flycap.seeding import derive_rng
+from flycap.verify import _TAG_INVERT, sample_square_sign_matrix
 
 
-def test_primes_are_prime():
-    assert PRIME > 2
-    assert all(PRIME % d for d in range(2, int(PRIME**0.5) + 1))
+def counted_det_exact(monkeypatch) -> list:
+    """Route rank's det_exact through a wrapper; returns its call log."""
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return det_exact(a)
+
+    monkeypatch.setattr(rank, "det_exact", counted)
+    return calls
+
+
+def planted_singular(m: int, p: float, kind: str, seed: int) -> np.ndarray:
+    """A sign matrix with a linear dependency planted in it."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros((m, m), dtype=np.int64)
+    while not a.any():
+        a = sample_square_sign_matrix(rng, m, p)
+    i, j, k = rng.permutation(m)[:3] if m >= 3 else (0, 1, 0)
+    if kind == "duplicate_row":
+        a[j] = a[i]
+    elif kind == "negated_row":
+        a[j] = -a[i]
+    else:
+        a[:, j] = a[:, i] + a[:, k]
+    return a
 
 
 class TestDetExact:
@@ -48,26 +73,52 @@ class TestIsInvertible:
         assert is_invertible(np.eye(4, dtype=np.int64))
         assert is_invertible(np.array([[1, 1], [0, -1]]))
 
-    def test_determinant_divisible_by_the_prime(self):
-        """Singular modulo the prime but not over the integers: the exact
-        determinant decides."""
-        assert is_invertible(np.array([[PRIME * 2147483629]]))
-        assert is_invertible(np.diag([PRIME, PRIME]))
+    def test_entries_beyond_the_certificate_range(self):
+        """Entries above 2^20 skip the certificate; the exact determinant
+        decides."""
+        assert is_invertible(np.array([[2147483647 * 2147483629]]))
+        assert is_invertible(np.diag([2147483647] * 2))
 
     def test_singular_without_zero_row_or_column(self, monkeypatch):
         """Rows equal up to sign leave no zero row or column, so the
         singular verdict comes from the exact determinant."""
-        calls = []
-
-        def counted(a):
-            calls.append(a)
-            return det_exact(a)
-
-        monkeypatch.setattr(rank, "det_exact", counted)
+        calls = counted_det_exact(monkeypatch)
         a = np.array([[1, -1, 1], [-1, 1, -1], [0, 1, 1]])
         assert not is_invertible(a)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("kind", ["duplicate_row", "negated_row", "column_sum"])
+    @pytest.mark.parametrize("p", [0.02, 0.1, 0.5])
+    @pytest.mark.parametrize("m", [2, 3, 10, 48, 100])
+    def test_planted_dependency_never_certified(self, m, p, kind):
+        for seed in range(5):
+            a = planted_singular(m, p, kind, seed)
+            assert not _certified_invertible(a)
+            assert not is_invertible(a)
+
+    def test_ill_conditioned_falls_back_to_determinant(self, monkeypatch):
+        """Unit upper-triangular with -1 above the diagonal: determinant 1,
+        condition number ~5e18, so only the exact determinant proves it."""
+        a = np.eye(60, dtype=np.int64) - np.triu(np.ones((60, 60), dtype=np.int64), 1)
+        assert not _certified_invertible(a)
+        calls = counted_det_exact(monkeypatch)
+        assert is_invertible(a)
+        assert len(calls) == 1
+
+    def test_criterion_2_draws_never_reach_the_determinant(self, monkeypatch):
+        """The first 20 m=100, p=0.05 draws of criterion 2's stream."""
+        calls = counted_det_exact(monkeypatch)
+        for trial in range(20):
+            rng = derive_rng(2, _TAG_INVERT, 100, trial)
+            is_invertible(sample_square_sign_matrix(rng, 100, 0.05))
+        assert calls == []
+
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             is_invertible(np.zeros((2, 3), dtype=int))
+        with pytest.raises(ValueError, match="nonempty"):
+            is_invertible(np.zeros((0, 0), dtype=int))
+
+    def test_rejects_float_matrix(self):
+        with pytest.raises(ValueError, match="integer"):
+            is_invertible(np.eye(3))

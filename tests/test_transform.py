@@ -109,6 +109,15 @@ class TestForwardBatch:
         with pytest.raises(ValueError):
             t.forward_batch([[1.0] * 30, [1.0] * 29])
 
+    def test_non_numeric_rows_rejected(self):
+        """numpy's reason is passed on, not reported as ragged rows."""
+        t = build(small_config(input_dim=3))
+        with pytest.raises(ValueError, match="could not convert string to float: 'a'") as err:
+            t.forward_batch([["a", 1, 2]])
+        assert "ragged" not in str(err.value)
+        with pytest.raises(ValueError, match="not 'dict'"):
+            t.forward_batch([[{}, 1, 2]])
+
     def test_wrong_width_rejected(self):
         t = build(small_config())
         with pytest.raises(ValueError):
