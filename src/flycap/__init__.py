@@ -24,7 +24,7 @@ from .projection import (
     entry_stats,
     sample_matrix,
 )
-from .svm import SvmModel, TrainSpec, evaluate, predict, train
+from .svm import SvmModel, TrainSpec, evaluate, train
 from .transform import Transform, TransformConfig, build
 from .verify import (
     McConfig,

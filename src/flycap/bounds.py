@@ -16,8 +16,7 @@ class BoundSpec:
 
     sigma2 is the entry variance 2p(1-p); subgaussian_l2 = 1/sigma2 is
     the moment-growth constant that makes the upper-tail bound hold for
-    these entries; fourth_moment equals sigma2 because the entries take
-    values in {-1, 0, 1} (all even powers coincide).
+    these entries.
     """
 
     epsilon: float
@@ -42,10 +41,6 @@ class BoundSpec:
     @property
     def subgaussian_l2(self) -> float:
         return 1.0 / self.sigma2
-
-    @property
-    def fourth_moment(self) -> float:
-        return self.sigma2
 
 
 def entry_moments(p: float) -> tuple[float, float, float]:

@@ -87,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     v_inv.add_argument("--m", type=parse_int_grid, required=True, help="grid a:b[:step]")
     v_inv.add_argument("--trials", type=int, default=10000)
     v_inv.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    v_inv.add_argument("--workers", type=int, default=1)
     v_inv.add_argument("--out", required=True)
 
     v_jl = vsub.add_parser("jl", help="pairwise distance preservation")
@@ -192,8 +191,7 @@ def _cmd_verify(args, invocation: str) -> int:
     print(f"seed={args.seed}")
     if args.suite == "invertibility":
         cfg = verify.McConfig(
-            trials=args.trials, seed=args.seed, p=args.p,
-            grid=tuple(args.m), workers=args.workers,
+            trials=args.trials, seed=args.seed, p=args.p, grid=tuple(args.m)
         )
         result = verify.invertibility_curve(cfg)
     elif args.suite == "jl":

@@ -251,7 +251,7 @@ def split(d: FeatureDataset, spec: SplitSpec) -> tuple[FeatureDataset, FeatureDa
 
 def standardize(
     train: FeatureDataset, test: FeatureDataset
-) -> tuple[FeatureDataset, FeatureDataset, np.ndarray, np.ndarray]:
+) -> tuple[FeatureDataset, FeatureDataset]:
     """Per-feature z-scoring with statistics taken from train only.
 
     Zero-variance features map to 0 in both sets.
@@ -268,6 +268,4 @@ def standardize(
     return (
         FeatureDataset(train_z, train.labels.copy(), train.class_names),
         FeatureDataset(test_z, test.labels.copy(), test.class_names),
-        means,
-        stds,
     )

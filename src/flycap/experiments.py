@@ -166,7 +166,7 @@ def _run_cell(
         stratified=spec.split.stratified,
     )
     train_set, test_set = data.split(working, split_spec)
-    train_z, test_z, _, _ = data.standardize(train_set, test_set)
+    train_z, test_z = data.standardize(train_set, test_set)
     train_spec = TrainSpec(
         lambda_=spec.train.lambda_,
         epochs=spec.train.epochs,

@@ -27,7 +27,6 @@ class EntryStats:
     zero_fraction: float
     mean: float
     variance: float
-    sample_count: int
 
 
 @dataclass(eq=False)
@@ -174,5 +173,4 @@ def entry_stats(m: SparseSignMatrix) -> EntryStats:
         zero_fraction=1.0 - nnz / total,
         mean=mean,
         variance=variance,
-        sample_count=total,
     )

@@ -3,7 +3,7 @@
 Every randomized routine in this package derives its streams from an
 integer path (base seed plus structural indices such as grid index and
 trial index). Streams therefore depend only on the path, never on
-worker count or execution order.
+execution order.
 """
 
 from __future__ import annotations

@@ -42,8 +42,6 @@ class SvmModel:
     num_classes: int
     dim: int
     lambda_: float
-    epochs: int
-    seed: int
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -113,31 +111,19 @@ def train(d: FeatureDataset, spec: TrainSpec) -> SvmModel:
         num_classes=num_classes,
         dim=d.dim,
         lambda_=lam,
-        epochs=spec.epochs,
-        seed=spec.seed,
     )
 
 
-def decision_scores(model: SvmModel, features: np.ndarray) -> np.ndarray:
+def predict_batch(model: SvmModel, features: np.ndarray) -> np.ndarray:
+    """Class with the highest score per row of a (samples x dim) array;
+    ties go to the lowest class id."""
     features = np.asarray(features, dtype=np.float64)
-    single = features.ndim == 1
-    if single:
-        features = features[None, :]
-    if features.shape[1] != model.dim:
+    if features.ndim != 2 or features.shape[1] != model.dim:
         raise ValueError(
-            f"feature dim {features.shape[1]} does not match model dim {model.dim}"
+            f"features of shape {features.shape} do not match model dim {model.dim}"
         )
     scores = features @ model.weights[:, :-1].T + model.weights[:, -1]
-    return scores[0] if single else scores
-
-
-def predict(model: SvmModel, x: np.ndarray) -> int:
-    """Class with the highest score; ties go to the lowest class id."""
-    return int(np.argmax(decision_scores(model, x)))
-
-
-def predict_batch(model: SvmModel, features: np.ndarray) -> np.ndarray:
-    return np.argmax(decision_scores(model, features), axis=1)
+    return np.argmax(scores, axis=1)
 
 
 def evaluate(model: SvmModel, d: FeatureDataset) -> float:

@@ -43,7 +43,7 @@ class TransformConfig:
 
 @dataclass(eq=False)
 class Transform:
-    """A built transform; immutable and safe for concurrent use."""
+    """A built transform; threads may share one (forward only fills an idempotent cache)."""
 
     config: TransformConfig
     matrix: projection.SparseSignMatrix

@@ -2,15 +2,13 @@
 
 Each suite samples seed-derived trials, aggregates per grid point, and
 compares against the matching closed-form oracle where one exists.
-Trials are keyed by trial index (never by worker), so estimates do not
-depend on the degree of parallelism.
+Each trial's stream is keyed by its trial index, so a seeded estimate
+is reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,14 +27,17 @@ _TAG_OPNORM_START = 5
 _TAG_DET = 6
 _TAG_CAP = 7
 
+# power-iteration stopping rule of operator_norm
+_OPNORM_REL_TOL = 1e-6
+_OPNORM_MAX_ITERS = 1000
+
 
 @dataclass(frozen=True)
 class McConfig:
     """Common knobs for the Monte Carlo suites.
 
     grid is the list of dimensions being swept (meaning depends on the
-    suite); workers > 1 parallelizes trials for the invertibility suite,
-    with at most one worker per CPU.
+    suite).
     """
 
     trials: int
@@ -44,7 +45,6 @@ class McConfig:
     p: float
     grid: tuple[int, ...] = ()
     epsilon: float = 0.5
-    workers: int = 1
 
     def __post_init__(self):
         if self.trials < 1:
@@ -58,9 +58,6 @@ class McConfig:
                 raise ValueError("grid must be strictly increasing")
             if self.grid[0] < 1:
                 raise ValueError("grid entries must be positive")
-        cpus = os.cpu_count() or 1
-        if not 1 <= self.workers <= cpus:
-            raise ValueError(f"workers must lie in [1, {cpus}], got {self.workers}")
 
 
 @dataclass
@@ -99,32 +96,6 @@ def sample_square_sign_matrix(rng: np.random.Generator, m: int, p: float) -> np.
     return a
 
 
-def _invertible_count(seed: int, p: float, m: int, lo: int, hi: int) -> int:
-    count = 0
-    for trial in range(lo, hi):
-        rng = derive_rng(seed, _TAG_INVERT, m, trial)
-        a = sample_square_sign_matrix(rng, m, p)
-        if rank.is_invertible(a):
-            count += 1
-    return count
-
-
-def _invertible_counts(cfg: McConfig) -> list[int]:
-    """Invertible trials per grid m; workers > 1 share one process pool."""
-    if cfg.workers == 1:
-        return [_invertible_count(cfg.seed, cfg.p, m, 0, cfg.trials) for m in cfg.grid]
-    cuts = np.linspace(0, cfg.trials, cfg.workers + 1, dtype=int).tolist()
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        futures = [
-            [
-                pool.submit(_invertible_count, cfg.seed, cfg.p, m, lo, hi)
-                for lo, hi in zip(cuts[:-1], cuts[1:])
-            ]
-            for m in cfg.grid
-        ]
-        return [sum(f.result() for f in per_m) for per_m in futures]
-
-
 def invertibility_curve(cfg: McConfig) -> SuiteResult:
     """Fraction of exactly-invertible m x m sign matrices, per grid m.
 
@@ -135,7 +106,12 @@ def invertibility_curve(cfg: McConfig) -> SuiteResult:
     if not cfg.grid:
         raise ValueError("invertibility_curve needs a grid of m values")
     records = []
-    for m, count in zip(cfg.grid, _invertible_counts(cfg)):
+    for m in cfg.grid:
+        count = 0
+        for trial in range(cfg.trials):
+            rng = derive_rng(cfg.seed, _TAG_INVERT, m, trial)
+            if rank.is_invertible(sample_square_sign_matrix(rng, m, cfg.p)):
+                count += 1
         estimate = count / cfg.trials
         stderr = _proportion_stderr(estimate, cfg.trials)
         if m == 1:
@@ -213,10 +189,7 @@ def jl_preservation(cfg: McConfig, m: int, n: int) -> SuiteResult:
 
 
 def operator_norm(
-    matrix: projection.SparseSignMatrix,
-    start_rng: np.random.Generator,
-    rel_tol: float = 1e-6,
-    max_iters: int = 1000,
+    matrix: projection.SparseSignMatrix, start_rng: np.random.Generator
 ) -> tuple[float, bool]:
     """Largest singular value by power iteration on the m x m Gram matrix.
 
@@ -229,14 +202,14 @@ def operator_norm(
     v = start_rng.standard_normal(matrix.n_cols)
     v /= np.linalg.norm(v)
     lam_prev = 0.0
-    for _ in range(max_iters):
+    for _ in range(_OPNORM_MAX_ITERS):
         w = gram @ v
         norm_w = np.linalg.norm(w)
         if norm_w == 0.0:
             return 0.0, True
         v = w / norm_w
         lam = float(v @ (gram @ v))
-        if abs(lam - lam_prev) <= rel_tol * abs(lam):
+        if abs(lam - lam_prev) <= _OPNORM_REL_TOL * abs(lam):
             return math.sqrt(lam), True
         lam_prev = lam
     return math.sqrt(lam_prev), False

@@ -56,7 +56,6 @@ class TestBoundSpec:
         spec = BoundSpec(epsilon=0.5, n=2000, p=0.05)
         assert spec.sigma2 == pytest.approx(0.095, abs=1e-15)
         assert spec.subgaussian_l2 == pytest.approx(1.0 / 0.095, rel=1e-15)
-        assert spec.fourth_moment == spec.sigma2
 
     def test_sigma2_range_and_l2_floor(self):
         for p in np.linspace(0.01, 0.99, 50):

@@ -147,7 +147,6 @@ class TestEntryStats:
         assert st.zero_fraction == 1.0
         assert st.mean == 0.0
         assert st.variance == 0.0
-        assert st.sample_count == 12
 
     def test_paper_scale_zero_fraction(self):
         """2000 x 433 at p = 0.05: zero fraction near 0.905 and mean

@@ -9,7 +9,6 @@ from flycap.svm import (
     TrainSpec,
     evaluate,
     objective,
-    predict,
     predict_batch,
     train,
 )
@@ -77,7 +76,7 @@ class TestTrain:
         model = train(d, spec)
         zero = SvmModel(
             weights=np.zeros((4, 9)), num_classes=4, dim=8,
-            lambda_=spec.lambda_, epochs=0, seed=0,
+            lambda_=spec.lambda_,
         )
         assert objective(model, d) <= objective(zero, d)
 
@@ -94,29 +93,30 @@ class TestTrain:
 
 class TestPredict:
     def test_zero_weights_tie_to_class_zero(self):
-        model = SvmModel(np.zeros((4, 6)), 4, 5, 1e-4, 0, 0)
-        assert predict(model, np.ones(5)) == 0
+        model = SvmModel(np.zeros((4, 6)), 4, 5, 1e-4)
+        assert predict_batch(model, np.ones((1, 5))).tolist() == [0]
 
     def test_positive_scaling_keeps_argmax(self):
         rng = np.random.default_rng(16)
         weights = rng.standard_normal((5, 8))
-        model = SvmModel(weights, 5, 7, 1e-4, 0, 0)
-        scaled = SvmModel(3.7 * weights, 5, 7, 1e-4, 0, 0)
-        for _ in range(50):
-            x = rng.standard_normal(7)
-            assert predict(model, x) == predict(scaled, x)
+        model = SvmModel(weights, 5, 7, 1e-4)
+        scaled = SvmModel(3.7 * weights, 5, 7, 1e-4)
+        xs = rng.standard_normal((50, 7))
+        assert np.array_equal(predict_batch(model, xs), predict_batch(scaled, xs))
 
     def test_dimension_mismatch(self):
-        model = SvmModel(np.zeros((2, 4)), 2, 3, 1e-4, 0, 0)
+        model = SvmModel(np.zeros((2, 4)), 2, 3, 1e-4)
         with pytest.raises(ValueError):
-            predict(model, np.zeros(4))
+            predict_batch(model, np.zeros((1, 4)))
+        with pytest.raises(ValueError):
+            predict_batch(model, np.zeros(3))
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(17)
-        model = SvmModel(rng.standard_normal((3, 5)), 3, 4, 1e-4, 0, 0)
+        model = SvmModel(rng.standard_normal((3, 5)), 3, 4, 1e-4)
         xs = rng.standard_normal((20, 4))
         batch = predict_batch(model, xs)
-        assert [predict(model, x) for x in xs] == batch.tolist()
+        assert [predict_batch(model, x[None, :])[0] for x in xs] == batch.tolist()
 
 
 class TestEvaluate:
@@ -126,11 +126,11 @@ class TestEvaluate:
         d = synth_blobs(10, 20, 6, 1.0, 0.3, 18)
         weights = np.zeros((10, 7))
         weights[3, -1] = 1.0  # constant winner: class 3
-        model = SvmModel(weights, 10, 6, 1e-4, 0, 0)
+        model = SvmModel(weights, 10, 6, 1e-4)
         assert evaluate(model, d) == pytest.approx(0.1)
 
     def test_empty_dataset_is_an_error(self):
-        model = SvmModel(np.zeros((2, 4)), 2, 3, 1e-4, 0, 0)
+        model = SvmModel(np.zeros((2, 4)), 2, 3, 1e-4)
         empty = FeatureDataset(np.empty((0, 3)), np.empty(0, dtype=int))
         with pytest.raises(ValueError):
             evaluate(model, empty)

@@ -3,7 +3,6 @@ regressions, and determinism of serialized outputs."""
 
 import itertools
 import math
-import os
 
 import numpy as np
 import pytest
@@ -43,10 +42,6 @@ class TestMcConfig:
             McConfig(trials=5, seed=1, p=1.0)
         with pytest.raises(ValueError):
             McConfig(trials=5, seed=1, p=0.1, grid=(3, 2))
-        with pytest.raises(ValueError):
-            McConfig(trials=5, seed=1, p=0.1, workers=0)
-        with pytest.raises(ValueError, match="workers"):
-            McConfig(trials=5, seed=1, p=0.1, workers=os.cpu_count() + 1)
 
 
 class TestSquareSampling:
@@ -90,12 +85,12 @@ class TestInvertibilityCurve:
         se = math.sqrt(oracle * (1.0 - oracle) / cfg.trials)
         assert abs(rec["estimate"] - oracle) <= 5.0 * se
 
-    def test_deterministic_and_worker_independent(self):
-        cfg1 = McConfig(trials=300, seed=11, p=0.2, grid=(1, 3), workers=1)
-        cfg2 = McConfig(trials=300, seed=11, p=0.2, grid=(1, 3), workers=2)
-        r1 = invertibility_curve(cfg1)
-        r2 = invertibility_curve(cfg2)
-        assert r1.records == r2.records
+    def test_seeded_regression_counts(self):
+        """Pinned invertible counts: any change to the trial streams or
+        to the exact verdicts moves them."""
+        cfg = McConfig(trials=300, seed=11, p=0.2, grid=(1, 3))
+        records = invertibility_curve(cfg).records
+        assert [rec["estimate"] for rec in records] == [76 / 300, 47 / 300]
 
     def test_estimates_are_probabilities_with_stderr(self):
         cfg = McConfig(trials=200, seed=3, p=0.3, grid=(2, 4, 8))
