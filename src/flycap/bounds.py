@@ -22,7 +22,6 @@ class BoundSpec:
     epsilon: float
     n: int
     p: float
-    m: int | None = None
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
@@ -31,8 +30,6 @@ class BoundSpec:
             raise ValueError(f"n must be a positive integer, got {self.n}")
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p must lie in (0, 1), got {self.p}")
-        if self.m is not None and self.m < 1:
-            raise ValueError(f"m must be a positive integer, got {self.m}")
 
     @property
     def sigma2(self) -> float:

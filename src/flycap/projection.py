@@ -4,12 +4,12 @@ The projection matrix has independent entries taking the value +1 or -1
 each with probability p(1-p) and 0 otherwise, which is exactly the
 distribution of the difference of two independent Bernoulli(p) draws.
 Entries have mean zero and variance 2p(1-p). Only nonzeros are stored,
-in compressed sparse row form.
+as row/column/value triplets in row-major order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,44 +29,33 @@ class EntryStats:
     variance: float
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SparseSignMatrix:
-    """A {-1, 0, +1} random matrix in compressed sparse row storage.
+    """A {-1, 0, +1} random matrix stored as (row, column, value) triplets.
 
     Rebuilding with identical (n_rows, n_cols, p, seed) reproduces
     bit-identical storage: row i is drawn from its own counter-derived
-    stream, so generation order (or parallelism) cannot change the
-    result. Instances are treated as immutable after construction.
+    stream, so generation order cannot change the result. Fields cannot
+    be reassigned and no function of this module writes into the arrays,
+    so threads may share one matrix.
     """
 
     n_rows: int
     n_cols: int
     p: float
-    seed: int
-    indptr: np.ndarray  # int64, length n_rows + 1
+    rows: np.ndarray  # int64 row index per stored entry, nondecreasing
     indices: np.ndarray  # int64 column index per stored entry, sorted per row
     values: np.ndarray  # int8, each exactly -1 or +1
-    _row_ids: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def nnz(self) -> int:
         return int(self.values.shape[0])
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n_rows, self.n_cols)
-
     def to_dense(self) -> np.ndarray:
         """Dense float64 copy (for small matrices and oracle checks)."""
         out = np.zeros((self.n_rows, self.n_cols))
-        rows = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
-        out[rows, self.indices] = self.values
+        out[self.rows, self.indices] = self.values
         return out
-
-    def _cached_row_ids(self) -> np.ndarray:
-        if self._row_ids is None:
-            self._row_ids = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
-        return self._row_ids
 
 
 def _row_generator(seed: int) -> tuple[np.random.Generator, "callable"]:
@@ -133,15 +122,15 @@ def sample_matrix(n_rows: int, n_cols: int, p: float, seed: int) -> SparseSignMa
         for i, row in enumerate(block, start):
             rekey(i)
             gen.random(out=row)
-        rows, block_cols, block_values = sign_entries(block, p)
-        counts.append(np.bincount(rows, minlength=block.shape[0]))
+        local_rows, block_cols, block_values = sign_entries(block, p)
+        counts.append(np.bincount(local_rows, minlength=block.shape[0]))
         cols.append(block_cols)
         values.append(block_values)
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    cols = np.concatenate(cols)
+    rows = np.repeat(np.arange(n_rows), np.concatenate(counts))
     return SparseSignMatrix(
-        n_rows, n_cols, p, seed, indptr,
-        np.concatenate(cols).astype(np.int64, copy=False), np.concatenate(values),
+        n_rows, n_cols, p, rows,
+        cols.astype(np.int64, copy=False), np.concatenate(values),
     )
 
 
@@ -159,7 +148,7 @@ def apply(m: SparseSignMatrix, x: np.ndarray) -> np.ndarray:
     if m.nnz == 0:
         return np.zeros(m.n_rows)
     contrib = m.values * x[m.indices]
-    return np.bincount(m._cached_row_ids(), weights=contrib, minlength=m.n_rows)
+    return np.bincount(m.rows, weights=contrib, minlength=m.n_rows)
 
 
 def entry_stats(m: SparseSignMatrix) -> EntryStats:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import shutil
+from contextlib import suppress
 
 
 def format_cell(value) -> str:
@@ -42,29 +43,24 @@ def to_json_text(obj) -> str:
 def atomic_write_text(path, text: str, header_line: str | None = None) -> None:
     """Write text to path atomically (temp file + rename).
 
+    The file gets the mode open(path, "w") would give it: an existing
+    file keeps its mode, a new one gets 0o666 less the umask.
     header_line, when given, becomes a leading `# ...` comment.
     """
     path = os.fspath(path)
     body = text
     if header_line is not None:
         body = f"# {header_line}\n{text}"
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(body)
+        with suppress(FileNotFoundError):
+            shutil.copymode(path, tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
 
-
-def read_json_text(path):
-    """Load JSON from a file, skipping any leading `#` comment lines."""
-    with open(path) as fh:
-        lines = fh.readlines()
-    start = 0
-    while start < len(lines) and lines[start].startswith("#"):
-        start += 1
-    return json.loads("".join(lines[start:]))

@@ -39,17 +39,11 @@ class SvmModel:
     """weights has one row per class; the last column is the bias."""
 
     weights: np.ndarray
-    num_classes: int
-    dim: int
-    lambda_: float
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.shape != (self.num_classes, self.dim + 1):
-            raise ValueError(
-                f"weights shape {self.weights.shape} inconsistent with "
-                f"{self.num_classes} classes and dim {self.dim}"
-            )
+        if self.weights.ndim != 2:
+            raise ValueError(f"weights must be 2-D, got shape {self.weights.shape}")
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("weights must be finite")
 
@@ -106,21 +100,17 @@ def train(d: FeatureDataset, spec: TrainSpec) -> SvmModel:
             if np.any(over):
                 weights[over] *= radius / norms[over][:, None]
             averaged += (weights - averaged) / t
-    return SvmModel(
-        weights=averaged,
-        num_classes=num_classes,
-        dim=d.dim,
-        lambda_=lam,
-    )
+    return SvmModel(weights=averaged)
 
 
 def predict_batch(model: SvmModel, features: np.ndarray) -> np.ndarray:
     """Class with the highest score per row of a (samples x dim) array;
     ties go to the lowest class id."""
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != model.dim:
+    dim = model.weights.shape[1] - 1
+    if features.ndim != 2 or features.shape[1] != dim:
         raise ValueError(
-            f"features of shape {features.shape} do not match model dim {model.dim}"
+            f"features of shape {features.shape} do not match model dim {dim}"
         )
     scores = features @ model.weights[:, :-1].T + model.weights[:, -1]
     return np.argmax(scores, axis=1)
@@ -132,14 +122,3 @@ def evaluate(model: SvmModel, d: FeatureDataset) -> float:
         raise ValueError("cannot evaluate on an empty dataset")
     return float(np.mean(predict_batch(model, d.features) == d.labels))
 
-
-def objective(model: SvmModel, d: FeatureDataset) -> float:
-    """Summed per-class regularized hinge objective on a dataset."""
-    x = np.hstack([d.features, np.ones((d.n_samples, 1))])
-    targets = np.where(
-        d.labels[None, :] == np.arange(model.num_classes)[:, None], 1.0, -1.0
-    )
-    scores = model.weights @ x.T
-    hinge = np.maximum(0.0, 1.0 - targets * scores).mean(axis=1)
-    reg = 0.5 * model.lambda_ * (model.weights**2).sum(axis=1)
-    return float((hinge + reg).sum())

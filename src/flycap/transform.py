@@ -43,7 +43,7 @@ class TransformConfig:
 
 @dataclass(eq=False)
 class Transform:
-    """A built transform; threads may share one (forward only fills an idempotent cache)."""
+    """A built transform; threads may share one (forward only reads its state)."""
 
     config: TransformConfig
     matrix: projection.SparseSignMatrix

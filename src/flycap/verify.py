@@ -173,7 +173,7 @@ def jl_preservation(cfg: McConfig, m: int, n: int) -> SuiteResult:
             hits += 1
     estimate = hits / cfg.trials
     stderr = _proportion_stderr(estimate, cfg.trials)
-    bound = jl_success_bound(BoundSpec(epsilon=cfg.epsilon, n=n, p=cfg.p, m=m))
+    bound = jl_success_bound(BoundSpec(epsilon=cfg.epsilon, n=n, p=cfg.p))
     record = {
         "n": n,
         "m": m,

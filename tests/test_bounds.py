@@ -70,8 +70,6 @@ class TestBoundSpec:
             BoundSpec(epsilon=0.5, n=0, p=0.1)
         with pytest.raises(ValueError):
             BoundSpec(epsilon=0.5, n=10, p=1.0)
-        with pytest.raises(ValueError):
-            BoundSpec(epsilon=0.5, n=10, p=0.1, m=0)
 
 
 class TestJlSuccessBound:

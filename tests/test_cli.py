@@ -1,5 +1,9 @@
 """CLI behavior: flags, exit codes, output files, reproducibility headers."""
 
+import json
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -7,7 +11,6 @@ import flycap.cli as cli
 import flycap.verify as verify
 from flycap.cli import main, parse_int_grid
 from flycap.data import load_csv, save_csv, synth_blobs
-from flycap.reporting import read_json_text
 
 
 class TestParsing:
@@ -68,7 +71,7 @@ class TestVerifyCommand:
         text = out.read_text().splitlines()
         assert text[0].startswith("# flycap verify invertibility")
         assert text[1] == "m,p,trials,estimate,stderr,bound,passed"
-        summary = read_json_text(tmp_path / "inv.json")
+        summary = json.loads((tmp_path / "inv.json").read_text().split("\n", 1)[1])
         assert summary["suite"] == "invertibility"
         assert len(summary["records"]) == 2
 
@@ -172,6 +175,25 @@ class TestSynthCommand:
         assert d.features.shape == (12, 6)
         assert out.read_text().startswith("# flycap synth")
 
+    def test_file_mode_as_plain_open(self, tmp_path):
+        """Outputs get the mode open(path, "w") would give: 0o666 less
+        the umask for a new file, the old mode for an overwritten one."""
+        out = tmp_path / "synth.csv"
+        argv = [
+            "synth", "--classes", "2", "--per-class", "2", "--dim", "3",
+            "--seed", "1", "--out", str(out),
+        ]
+        saved = os.umask(0o027)
+        try:
+            assert main(argv) == 0
+            assert stat.S_IMODE(out.stat().st_mode) == 0o640
+            out.chmod(0o604)
+            assert main(argv) == 0
+            assert stat.S_IMODE(out.stat().st_mode) == 0o604
+        finally:
+            os.umask(saved)
+        assert os.listdir(tmp_path) == ["synth.csv"]
+
 
 class TestSweepCommand:
     def test_noise_sweep_tiny(self, tmp_path):
@@ -184,7 +206,7 @@ class TestSweepCommand:
             "--seed", "4", "--out", str(out),
         ])
         assert code == 0
-        report = read_json_text(out)
+        report = json.loads(out.read_text().split("\n", 1)[1])
         assert set(report.keys()) == {"spec", "baseline", "records"}
         assert len(report["records"]) == 6  # 2 sigmas x 3 variants
         table = (tmp_path / "fig6.csv").read_text().splitlines()
@@ -218,6 +240,6 @@ class TestSweepCommand:
             "--out", str(out),
         ])
         assert code == 0
-        report = read_json_text(out)
+        report = json.loads(out.read_text().split("\n", 1)[1])
         assert len(report["records"]) == 4  # 2 p values x 2 dims
         assert all(rec["k"] is None for rec in report["records"])

@@ -1,6 +1,7 @@
 """Sampling distribution, product correctness, and storage invariants
 of the sparse sign matrix."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,8 +22,7 @@ def empty_matrix(n_rows=3, n_cols=4):
         n_rows,
         n_cols,
         0.05,
-        0,
-        np.zeros(n_rows + 1, dtype=np.int64),
+        np.empty(0, dtype=np.int64),
         np.empty(0, dtype=np.int64),
         np.empty(0, dtype=np.int8),
     )
@@ -33,15 +33,11 @@ def explicit_matrix(rows):
     dense = np.asarray(rows)
     n_rows, n_cols = dense.shape
     nz_rows, nz_cols = np.nonzero(dense)
-    counts = np.bincount(nz_rows, minlength=n_rows).astype(np.int64)
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
     return SparseSignMatrix(
         n_rows,
         n_cols,
         0.5,
-        0,
-        indptr,
+        nz_rows.astype(np.int64),
         nz_cols.astype(np.int64),
         dense[nz_rows, nz_cols].astype(np.int8),
     )
@@ -64,7 +60,7 @@ class TestSampling:
     def test_deterministic_regeneration(self):
         a = sample_matrix(50, 40, 0.1, 123)
         b = sample_matrix(50, 40, 0.1, 123)
-        assert np.array_equal(a.indptr, b.indptr)
+        assert np.array_equal(a.rows, b.rows)
         assert np.array_equal(a.indices, b.indices)
         assert np.array_equal(a.values, b.values)
 
@@ -80,8 +76,8 @@ class TestSampling:
         because row i depends only on (seed, i, n_cols)."""
         tall = sample_matrix(30, 25, 0.2, 9)
         short = sample_matrix(6, 25, 0.2, 9)
-        end = tall.indptr[6]
-        assert np.array_equal(short.indptr, tall.indptr[:7])
+        end = np.searchsorted(tall.rows, 6)
+        assert np.array_equal(short.rows, tall.rows[:end])
         assert np.array_equal(short.indices, tall.indices[:end])
         assert np.array_equal(short.values, tall.values[:end])
 
@@ -99,18 +95,33 @@ class TestSampling:
             for i in range(n_rows)
         ])
         rows, cols, values = sign_entries(u, p)
-        counts = np.bincount(rows, minlength=n_rows)
-        assert np.array_equal(m.indptr, np.concatenate([[0], np.cumsum(counts)]))
+        assert np.array_equal(m.rows, rows)
         assert np.array_equal(m.indices, cols)
         assert np.array_equal(m.values, values)
 
     def test_storage_invariants(self):
-        m = sample_matrix(80, 60, 0.3, 5)
+        """Row ids are nondecreasing, each row holds as many entries as
+        its stream has nonzeros, and columns are sorted within a row."""
+        n_rows, n_cols, p, seed = 80, 60, 0.3, 5
+        m = sample_matrix(n_rows, n_cols, p, seed)
+        assert m.rows.shape == m.indices.shape == m.values.shape
         assert set(np.unique(m.values)) <= {-1, 1}
-        for r in range(m.n_rows):
-            cols = m.indices[m.indptr[r] : m.indptr[r + 1]]
+        assert np.all(np.diff(m.rows) >= 0)
+        assert m.rows[0] >= 0 and m.rows[-1] < n_rows
+        counts = np.bincount(m.rows, minlength=n_rows)
+        for r in range(n_rows):
+            u = np.random.Generator(
+                np.random.Philox(key=np.array([seed, r], dtype=np.uint64))
+            ).random(n_cols)
+            assert counts[r] == np.count_nonzero(u < 2.0 * p * (1.0 - p))
+            cols = m.indices[m.rows == r]
             assert np.all(np.diff(cols) > 0)
-            assert cols.size == 0 or cols.max() < m.n_cols
+            assert cols.size == 0 or cols.max() < n_cols
+
+    def test_frozen(self):
+        m = sample_matrix(5, 4, 0.2, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.rows = np.zeros(m.nnz, dtype=np.int64)
 
     def test_extreme_p_gives_nearly_empty_matrix(self):
         # zero probability 2p^2 - 2p + 1 approaches 1 as p -> 1
@@ -205,6 +216,15 @@ class TestApply:
         lhs = apply(m, 2.5 * x - 0.5 * y)
         rhs = 2.5 * apply(m, x) - 0.5 * apply(m, y)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+    def test_leaves_matrix_unchanged(self):
+        """apply only reads the matrix: no field is added or rebound."""
+        m = sample_matrix(30, 20, 0.2, 4)
+        before = dict(vars(m))
+        apply(m, np.ones(20))
+        after = vars(m)
+        assert after.keys() == before.keys()
+        assert all(after[name] is before[name] for name in before)
 
     def test_errors(self):
         m = sample_matrix(10, 5, 0.2, 2)

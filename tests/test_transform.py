@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from flycap.projection import apply
+from flycap.projection import apply, sample_matrix
 from flycap.transform import Transform, TransformConfig, build
 
 
@@ -20,8 +20,11 @@ class TestConfig:
                 input_dim=433, output_dim=2000, bernoulli_p=0.05, cap_k=200, seed=1
             )
         )
-        assert t.matrix.shape == (2000, 433)
-        assert t.matrix.seed == t.config.seed
+        assert (t.matrix.n_rows, t.matrix.n_cols) == (2000, 433)
+        want = sample_matrix(2000, 433, 0.05, t.config.seed)
+        assert np.array_equal(t.matrix.rows, want.rows)
+        assert np.array_equal(t.matrix.indices, want.indices)
+        assert np.array_equal(t.matrix.values, want.values)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -143,8 +143,7 @@ class TestOperatorNorm:
             4,
             3,
             0.05,
-            0,
-            np.zeros(5, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.int8),
         )
