@@ -14,7 +14,7 @@ from .bounds import (
     entry_moments,
     jl_success_bound,
 )
-from .cap import CapResult, cap, cap_error_bound
+from .cap import cap, cap_error_bound
 from .data import FeatureDataset, SplitSpec, add_noise, load_csv, save_csv, split, standardize, synth_blobs
 from .experiments import ExperimentReport, GridPoint, SweepSpec, SynthSpec, fig_tables, run_sweep
 from .projection import (

@@ -7,25 +7,11 @@ k >= 1), and its residual is controlled by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(eq=False)
-class CapResult:
-    """Capped vector plus the sorted indices that were kept.
-
-    kept_indices always has min(k, len(x)) entries; when k exceeds the
-    number of nonzeros, zero positions are kept to fill the budget.
-    """
-
-    vector: np.ndarray
-    kept_indices: np.ndarray
-
-
-def cap(x: np.ndarray, k: int) -> CapResult:
-    """Zero all but the k largest-magnitude entries of x.
+def cap(x: np.ndarray, k: int) -> np.ndarray:
+    """Zero all but the k largest-magnitude entries of x, in a new array.
 
     Ties in magnitude are broken toward the lower index, which makes
     the operation deterministic and idempotent. k = 0 yields the zero
@@ -44,20 +30,17 @@ def cap(x: np.ndarray, k: int) -> CapResult:
 
     n = x.shape[0]
     if k == 0:
-        return CapResult(np.zeros(n), np.empty(0, dtype=np.int64))
+        return np.zeros(n)
     if k >= n:
-        return CapResult(x.copy(), np.arange(n, dtype=np.int64))
+        return x.copy()
 
     mags = np.abs(x)
     threshold = np.partition(mags, n - k)[n - k]
-    kept = np.flatnonzero(mags > threshold)
-    need = k - kept.size
+    keep = mags > threshold
+    need = k - np.count_nonzero(keep)
     if need > 0:
-        at_threshold = np.flatnonzero(mags == threshold)[:need]
-        kept = np.sort(np.concatenate([kept, at_threshold]))
-    out = np.zeros(n)
-    out[kept] = x[kept]
-    return CapResult(out, kept.astype(np.int64))
+        keep[np.flatnonzero(mags == threshold)[:need]] = True
+    return np.where(keep, x, 0.0)
 
 
 def cap_error_bound(norm_p_of_x: float, k: int, p_norm: float) -> float:

@@ -9,6 +9,7 @@ strings; string labels are mapped to ids in first-seen order unless a
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +107,8 @@ def load_csv(path) -> FeatureDataset:
             row = [float(v) for v in parts[1:]]
         except ValueError as exc:
             raise CsvFormatError(f"{path}: line {lineno}: {exc}") from None
+        if not all(map(math.isfinite, row)):
+            raise CsvFormatError(f"{path}: line {lineno}: non-finite value")
         if dim is None:
             dim = len(row)
         elif len(row) != dim:
@@ -229,8 +232,6 @@ def split(d: FeatureDataset, spec: SplitSpec) -> tuple[FeatureDataset, FeatureDa
         train_idx = []
         for c in np.unique(d.labels):
             members = np.flatnonzero(d.labels == c)
-            if members.size == 0:
-                raise ValueError(f"class {c} has no samples")
             perm = rng.permutation(members.size)
             n_train = int(round(spec.train_fraction * members.size))
             train_idx.append(members[perm[:n_train]])

@@ -58,31 +58,6 @@ class SparseSignMatrix:
         return out
 
 
-def _row_generator(seed: int) -> tuple[np.random.Generator, "callable"]:
-    """One reusable Philox generator plus a rekey(row) function.
-
-    Row i's stream is Philox keyed by (seed, i) with the counter at
-    zero, so any row can be regenerated independently of the others and
-    of generation order; reusing a single bit-generator object just
-    avoids per-row construction cost.
-    """
-    bg = np.random.Philox(key=0)
-    gen = np.random.Generator(bg)
-    template = bg.state
-
-    def rekey(row: int) -> None:
-        state = dict(template)
-        state["state"] = {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([seed, row], dtype=np.uint64),
-        }
-        state["buffer"] = np.zeros(4, dtype=np.uint64)
-        state["buffer_pos"] = 4
-        bg.state = state
-
-    return gen, rekey
-
-
 def sign_entries(u: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The nonzeros of a sign matrix drawn from a 2-D array of uniforms.
 
@@ -113,14 +88,23 @@ def sample_matrix(n_rows: int, n_cols: int, p: float, seed: int) -> SparseSignMa
         raise ValueError(f"{n_rows}x{n_cols} overflows the index type")
     seed = check_seed(seed)
 
-    gen, rekey = _row_generator(seed)
+    # Row i's stream is Philox keyed by (seed, i) with the counter at
+    # zero. One state dict is rekeyed in place per row: its counter stays
+    # zero and its buffer_pos stays 4 (empty), so assigning it restarts
+    # the bit generator exactly as a fresh Philox(key=[seed, i]) would.
+    bg = np.random.Philox(key=0)
+    gen = np.random.Generator(bg)
+    state = bg.state
+    key = state["state"]["key"]
+    key[0] = seed
     block_rows = max(1, _BLOCK_POSITIONS // n_cols)
     u = np.empty((min(block_rows, n_rows), n_cols))
     counts, cols, values = [], [], []
     for start in range(0, n_rows, block_rows):
         block = u[: min(block_rows, n_rows - start)]
         for i, row in enumerate(block, start):
-            rekey(i)
+            key[1] = i
+            bg.state = state
             gen.random(out=row)
         local_rows, block_cols, block_values = sign_entries(block, p)
         counts.append(np.bincount(local_rows, minlength=block.shape[0]))
@@ -135,10 +119,11 @@ def sample_matrix(n_rows: int, n_cols: int, p: float, seed: int) -> SparseSignMa
 
 
 def apply(m: SparseSignMatrix, x: np.ndarray) -> np.ndarray:
-    """Exact sparse product M @ x, accumulated in float64.
+    """Sparse product M @ x as a float64 sum in a fixed order.
 
-    Accumulation uses a fixed bin-summation order, so the result is
-    independent of thread configuration.
+    Each output entry adds its row's signed terms in column order, so
+    the result is rounded like any float64 sum but reproducible
+    bit-for-bit, independent of thread configuration.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != m.n_cols:
@@ -147,7 +132,8 @@ def apply(m: SparseSignMatrix, x: np.ndarray) -> np.ndarray:
         raise ValueError("input vector has non-finite entries")
     if m.nnz == 0:
         return np.zeros(m.n_rows)
-    contrib = m.values * x[m.indices]
+    contrib = x[m.indices]
+    contrib *= m.values
     return np.bincount(m.rows, weights=contrib, minlength=m.n_rows)
 
 

@@ -50,7 +50,7 @@ class Transform:
 
     def forward(self, s: np.ndarray) -> np.ndarray:
         """Project s and keep the cap_k largest-magnitude coordinates."""
-        return cap(projection.apply(self.matrix, s), self.config.cap_k).vector
+        return cap(projection.apply(self.matrix, s), self.config.cap_k)
 
     def forward_batch(self, rows) -> np.ndarray:
         """Row-wise forward; preserves row order.

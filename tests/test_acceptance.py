@@ -157,7 +157,7 @@ def test_criterion_4_cap_error_and_sandwich():
     probe_mags = np.sort(np.abs(probe))[::-1]
     agree = all(
         np.isclose(
-            np.sum(np.abs(cap(probe, k).vector)), np.sum(probe_mags[:k]), atol=1e-12
+            np.sum(np.abs(cap(probe, k))), np.sum(probe_mags[:k]), atol=1e-12
         )
         for k in range(1, 41)
     )

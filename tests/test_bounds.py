@@ -143,7 +143,7 @@ class TestCappedResidualBound:
             n = int(rng.integers(1, 50))
             x = rng.standard_normal(n)
             k = int(rng.integers(0, n + 1))
-            residual = np.linalg.norm(x - cap(x, k).vector)
+            residual = np.linalg.norm(x - cap(x, k))
             for p in (0.5, 1.0, 1.5):
                 norm_p = float(np.sum(np.abs(x) ** p) ** (1.0 / p))
                 assert residual <= cap_error_bound(norm_p, k, p) * (1 + 1e-12)

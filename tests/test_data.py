@@ -1,6 +1,7 @@
 """Dataset ingestion, synthesis, noise injection, splits, scaling."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,13 @@ class TestCsv:
         path.write_text("0,1,2\n1,nope,4\n")
         with pytest.raises(CsvFormatError, match="line 2"):
             load_csv(path)
+
+    def test_non_finite_values_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        for bad in ("nan", "inf", "-Infinity", "1e400"):
+            path.write_text(f"# comment\n0,1,2\n1,3,{bad}\n")
+            with pytest.raises(CsvFormatError, match=re.escape(f"{path}: line 3")):
+                load_csv(path)
 
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -83,21 +83,25 @@ class TestSampling:
 
     def test_blocks_match_per_row_streams(self):
         """Across block boundaries, row i is Philox keyed by (seed, i)
-        with the counter at zero, mapped by the shared sign rule."""
-        n_rows, n_cols, p, seed = 8, 300_000, 0.1, 2**63 + 3
-        block_rows = projection._BLOCK_POSITIONS // n_cols
-        assert -(-n_rows // block_rows) >= 3
-        m = sample_matrix(n_rows, n_cols, p, seed)
-        u = np.stack([
-            np.random.Generator(
-                np.random.Philox(key=np.array([seed, i], dtype=np.uint64))
-            ).random(n_cols)
-            for i in range(n_rows)
-        ])
-        rows, cols, values = sign_entries(u, p)
-        assert np.array_equal(m.rows, rows)
-        assert np.array_equal(m.indices, cols)
-        assert np.array_equal(m.values, values)
+        with the counter at zero, mapped by the shared sign rule. Rows of
+        300000 uniforms end on a Philox buffer boundary (4 draws); rows
+        of 1001 end one draw into a buffer, so a rekey that kept the
+        previous row's buffer position would show."""
+        p, seed = 0.1, 2**63 + 3
+        for n_rows, n_cols in ((8, 300_000), (2100, 1001)):
+            block_rows = projection._BLOCK_POSITIONS // n_cols
+            assert -(-n_rows // block_rows) >= 3
+            m = sample_matrix(n_rows, n_cols, p, seed)
+            u = np.stack([
+                np.random.Generator(
+                    np.random.Philox(key=np.array([seed, i], dtype=np.uint64))
+                ).random(n_cols)
+                for i in range(n_rows)
+            ])
+            rows, cols, values = sign_entries(u, p)
+            assert np.array_equal(m.rows, rows)
+            assert np.array_equal(m.indices, cols)
+            assert np.array_equal(m.values, values)
 
     def test_storage_invariants(self):
         """Row ids are nondecreasing, each row holds as many entries as

@@ -237,7 +237,7 @@ class TestCapBoundSweep:
             x = rng.standard_normal(n)
             tails = _residual_tail(x)
             for k in range(n + 1):
-                direct = np.linalg.norm(x - cap(x, k).vector)
+                direct = np.linalg.norm(x - cap(x, k))
                 assert tails[k] == pytest.approx(direct, abs=1e-12)
 
 
