@@ -8,12 +8,7 @@ self-contained classification benchmark harness (datasets, a linear
 SVM, and parameter sweeps).
 """
 
-from .bounds import (
-    BoundSpec,
-    det_lower_threshold,
-    entry_moments,
-    jl_success_bound,
-)
+from .bounds import det_lower_threshold, entry_moments, jl_success_bound
 from .cap import cap, cap_error_bound
 from .data import FeatureDataset, SplitSpec, add_noise, load_csv, save_csv, split, standardize, synth_blobs
 from .experiments import ExperimentReport, GridPoint, SweepSpec, SynthSpec, fig_tables, run_sweep
@@ -24,7 +19,7 @@ from .projection import (
     entry_stats,
     sample_matrix,
 )
-from .svm import SvmModel, TrainSpec, evaluate, train
+from .svm import TrainSpec, evaluate, train
 from .transform import Transform, TransformConfig, build
 from .verify import (
     McConfig,

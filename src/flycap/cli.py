@@ -15,7 +15,7 @@ import shlex
 import sys
 
 from . import bounds as bounds_mod
-from . import data, experiments, svm, verify
+from . import data, experiments, reporting, svm, verify
 from .cap import cap_error_bound
 from .data import SplitSpec
 from .experiments import GridPoint, SweepSpec, SynthSpec
@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     v_cap.add_argument("--out", required=True)
 
     p_sw = sub.add_parser("sweep", help="accuracy sweep over transform parameters")
-    p_sw.add_argument("--dataset", required=True, help="`synth` or a feature CSV path")
+    p_sw.add_argument("--dataset", required=True, help="a feature CSV, or `synth`: SynthSpec()")
     p_sw.add_argument("--grid", required=True, choices=("p", "n", "k", "noise"))
     p_sw.add_argument("--axis", default=None, help="override axis values (comma list)")
     p_sw.add_argument("--repeats", type=int, default=5)
@@ -132,12 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--train-fraction", type=float, default=0.8)
     p_sw.add_argument("--lambda", dest="lambda_", type=float, default=1e-4)
     p_sw.add_argument("--epochs", type=int, default=20)
-    p_sw.add_argument("--classes", type=int, default=10)
-    p_sw.add_argument("--per-class", type=int, default=100)
-    p_sw.add_argument("--dim", type=int, default=433)
-    p_sw.add_argument("--center-scale", type=float, default=1.5)
-    p_sw.add_argument("--synth-noise", type=float, default=0.3)
-    p_sw.add_argument("--synth-seed", type=int, default=7)
     p_sw.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_sw.add_argument("--out", required=True, help="JSON report path (CSV sits beside)")
 
@@ -178,8 +172,7 @@ def _cmd_bounds(args) -> int:
         mean, zero_prob, variance = bounds_mod.entry_moments(args.p)
         print(f"mean={mean!r} zero_prob={zero_prob!r} variance={variance!r}")
     elif args.bound == "jl":
-        spec = bounds_mod.BoundSpec(epsilon=args.epsilon, n=args.n, p=args.p)
-        print(repr(bounds_mod.jl_success_bound(spec)))
+        print(repr(bounds_mod.jl_success_bound(args.epsilon, args.n, args.p)))
     elif args.bound == "det":
         print(repr(bounds_mod.det_lower_threshold(args.m, args.p, args.epsilon)))
     else:
@@ -208,8 +201,9 @@ def _cmd_verify(args, invocation: str) -> int:
     else:
         cfg = verify.McConfig(trials=args.trials, seed=args.seed, p=0.5)
         result = verify.cap_bound_sweep(cfg, length=args.length)
-    result.write_csv(args.out, invocation)
-    result.write_json(args.out.removesuffix(".csv") + ".json", invocation)
+    reporting.write_csv(args.out, result.records, invocation)
+    json_path = args.out.removesuffix(".csv") + ".json"
+    reporting.write_json(json_path, result.to_json_obj(), invocation)
     print(f"suite={result.suite} passed={result.passed} records={len(result.records)}")
     return 0 if result.passed else 2
 
@@ -260,22 +254,10 @@ def _sweep_grid(args) -> list[GridPoint]:
 
 def _cmd_sweep(args, invocation: str) -> int:
     print(f"seed={args.seed}")
-    synth = None
-    dataset_path = None
-    if args.dataset == "synth":
-        synth = SynthSpec(
-            num_classes=args.classes,
-            per_class=args.per_class,
-            dim=args.dim,
-            center_scale=args.center_scale,
-            noise_sigma=args.synth_noise,
-            seed=args.synth_seed,
-        )
-    else:
-        dataset_path = args.dataset
+    synth = SynthSpec() if args.dataset == "synth" else None
     spec = SweepSpec(
         grid=tuple(_sweep_grid(args)),
-        dataset_path=dataset_path,
+        dataset_path=None if synth else args.dataset,
         synth=synth,
         repeats=args.repeats,
         split=SplitSpec(train_fraction=args.train_fraction, seed=args.seed, stratified=True),
@@ -283,9 +265,9 @@ def _cmd_sweep(args, invocation: str) -> int:
         seed=args.seed,
     )
     report = experiments.run_sweep(spec)
-    report.write_json(args.out, invocation)
-    csv_path = args.out.removesuffix(".json") + ".csv"
-    experiments.write_fig_csv(report, args.grid, csv_path, invocation)
+    rows = experiments.fig_tables(report, args.grid)
+    reporting.write_json(args.out, report.to_json_obj(), invocation)
+    reporting.write_csv(args.out.removesuffix(".json") + ".csv", rows, invocation)
     print(
         f"baseline acc={report.baseline['acc_mean']:.4f} "
         f"records={len(report.records)}"

@@ -185,8 +185,10 @@ def synth_blobs(
     """
     if num_classes < 1 or per_class < 1 or dim < 1:
         raise ValueError("num_classes, per_class, and dim must all be >= 1")
-    if noise_sigma < 0.0:
-        raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
+    if not 0.0 <= noise_sigma < math.inf:
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    if not math.isfinite(center_scale):
+        raise ValueError(f"center_scale must be finite, got {center_scale}")
     rng = derive_rng(check_seed(seed))
     centers = rng.standard_normal((num_classes, dim))
     centers *= center_scale / np.linalg.norm(centers, axis=1, keepdims=True)
@@ -204,8 +206,8 @@ def add_noise(d: FeatureDataset, sigma: float, seed: int) -> FeatureDataset:
     dataset has been reordered or split; this is what makes noise
     injection commute with splitting.
     """
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     seed = check_seed(seed)
     if sigma == 0.0:
         return FeatureDataset(d.features.copy(), d.labels.copy(), d.class_names)

@@ -8,13 +8,13 @@ transform) is computed once per sweep and echoed in every report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import data, svm
 from .data import FeatureDataset, SplitSpec
-from .reporting import atomic_write_text, records_to_csv_text, to_json_text
 from .seeding import check_seed, derive_seed
 from .svm import TrainSpec
 from .transform import TransformConfig, build
@@ -61,8 +61,8 @@ class GridPoint:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be non-negative")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.variant != "baseline":
             if self.p is None or self.n is None:
                 raise ValueError(f"variant {self.variant!r} needs p and n")
@@ -111,9 +111,6 @@ class ExperimentReport:
             "records": self.records,
         }
 
-    def write_json(self, path, header_line: str | None = None) -> None:
-        atomic_write_text(path, to_json_text(self.to_json_obj()), header_line)
-
 
 class SweepError(RuntimeError):
     pass
@@ -122,10 +119,7 @@ class SweepError(RuntimeError):
 def _load_source(spec: SweepSpec) -> FeatureDataset:
     if spec.dataset_path is not None:
         return data.load_csv(spec.dataset_path)
-    s = spec.synth
-    return data.synth_blobs(
-        s.num_classes, s.per_class, s.dim, s.center_scale, s.noise_sigma, s.seed
-    )
+    return data.synth_blobs(**asdict(spec.synth))
 
 
 def _run_cell(
@@ -172,8 +166,8 @@ def _run_cell(
         epochs=spec.train.epochs,
         seed=derive_seed(spec.train.seed, slot, repeat),
     )
-    model = svm.train(train_z, train_spec)
-    return svm.evaluate(model, test_z), sparsity
+    weights = svm.train(train_z, train_spec)
+    return svm.evaluate(weights, test_z), sparsity
 
 
 def _summarize(base, point, spec, slot) -> dict:
@@ -284,11 +278,3 @@ def _curve_label(rec: dict, axis_key: str) -> str:
         if axis_key != "k" and rec["k"] is not None:
             parts.append(f"k={rec['k']}")
     return ",".join(parts)
-
-
-def write_fig_csv(
-    report: ExperimentReport, which: str, path, header_line: str | None = None
-) -> None:
-    rows = fig_tables(report, which)
-    columns = [which, "variant", "acc_mean", "acc_std", "repeats"]
-    atomic_write_text(path, records_to_csv_text(rows, columns), header_line)

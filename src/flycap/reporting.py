@@ -1,8 +1,9 @@
-"""Shared CSV/JSON emission with reproducible, byte-stable formatting.
+"""The one place records become files: byte-stable CSV and JSON.
 
 All files may carry a single leading `#` comment line recording the
 invocation that produced them; nothing time-dependent is ever written,
-so reruns with identical seeds produce byte-identical files.
+so reruns with identical seeds produce byte-identical files. numpy
+scalars are written as the equal Python values.
 """
 
 from __future__ import annotations
@@ -12,32 +13,41 @@ import os
 import shutil
 from contextlib import suppress
 
+import numpy as np
 
-def format_cell(value) -> str:
+
+def _format_cell(value) -> str:
+    if isinstance(value, np.generic):
+        value = value.item()
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        text = repr(value)
-    else:
-        text = str(value)
+    text = str(value)  # for a float, str is repr: the shortest round-trip form
     if any(ch in text for ch in ',"\n'):
         text = '"' + text.replace('"', '""') + '"'
     return text
 
 
-def records_to_csv_text(records: list[dict], columns: list[str] | None = None) -> str:
-    if columns is None:
-        columns = list(records[0].keys()) if records else []
+def write_csv(path, records: list[dict], header_line: str | None = None) -> None:
+    """One row per record; the columns are the first record's keys."""
+    columns = list(records[0]) if records else []
     lines = [",".join(columns)]
     for rec in records:
-        lines.append(",".join(format_cell(rec.get(col)) for col in columns))
-    return "\n".join(lines) + "\n"
+        lines.append(",".join(_format_cell(rec.get(col)) for col in columns))
+    atomic_write_text(path, "\n".join(lines) + "\n", header_line)
 
 
-def to_json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def write_json(path, obj, header_line: str | None = None) -> None:
+    """obj as two-space-indented JSON."""
+    text = json.dumps(obj, indent=2, default=_json_default) + "\n"
+    atomic_write_text(path, text, header_line)
+
+
+def _json_default(value):
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def atomic_write_text(path, text: str, header_line: str | None = None) -> None:
@@ -48,14 +58,13 @@ def atomic_write_text(path, text: str, header_line: str | None = None) -> None:
     header_line, when given, becomes a leading `# ...` comment.
     """
     path = os.fspath(path)
-    body = text
     if header_line is not None:
-        body = f"# {header_line}\n{text}"
+        text = f"# {header_line}\n{text}"
     tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(body)
+            fh.write(text)
         with suppress(FileNotFoundError):
             shutil.copymode(path, tmp)
         os.replace(tmp, path)
@@ -63,4 +72,3 @@ def atomic_write_text(path, text: str, header_line: str | None = None) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-

@@ -2,11 +2,12 @@
 
 Each class gets a binary hinge-loss model with L2 regularization on the
 augmented weight vector [w; b], updated with the classic 1/(lambda * t)
-step size and projected onto the ball of radius 1/sqrt(lambda). The
-returned model is the running average of the iterates, which is far
-more stable than the last iterate at practical epoch counts. All class
-models share the seed-derived visit order, so they can be updated
-together in one vectorized pass while remaining independent problems.
+step size and projected onto the ball of radius 1/sqrt(lambda). `train`
+returns the running average of the iterates, far more stable than the
+last iterate at practical epoch counts, as one (classes x (dim+1))
+weight array with the bias last; `predict_batch` and `evaluate` take it.
+All class models share the seed-derived visit order, so they can be
+updated together in one vectorized pass while remaining independent.
 """
 
 from __future__ import annotations
@@ -34,20 +35,6 @@ class TrainSpec:
         check_seed(self.seed)
 
 
-@dataclass(eq=False)
-class SvmModel:
-    """weights has one row per class; the last column is the bias."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.ndim != 2:
-            raise ValueError(f"weights must be 2-D, got shape {self.weights.shape}")
-        if not np.all(np.isfinite(self.weights)):
-            raise ValueError("weights must be finite")
-
-
 def _canonical_order(d: FeatureDataset) -> np.ndarray:
     """Sort samples by feature values (then label) so that training is
     invariant to the order rows arrived in."""
@@ -55,12 +42,13 @@ def _canonical_order(d: FeatureDataset) -> np.ndarray:
     return np.lexsort(keys)
 
 
-def train(d: FeatureDataset, spec: TrainSpec) -> SvmModel:
+def train(d: FeatureDataset, spec: TrainSpec) -> np.ndarray:
     """Fit one binary model per class over seed-shuffled epochs.
 
+    Returns the averaged float64 weights, (num_classes, dim + 1), bias last.
     The visit order is a pure function of the seed and the canonical
     sample order, never of the input row order, so permuting the
-    dataset's rows leaves the trained model bit-identical.
+    dataset's rows leaves the trained weights bit-identical.
     """
     if d.n_samples == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -100,25 +88,30 @@ def train(d: FeatureDataset, spec: TrainSpec) -> SvmModel:
             if np.any(over):
                 weights[over] *= radius / norms[over][:, None]
             averaged += (weights - averaged) / t
-    return SvmModel(weights=averaged)
+    return averaged
 
 
-def predict_batch(model: SvmModel, features: np.ndarray) -> np.ndarray:
-    """Class with the highest score per row of a (samples x dim) array;
-    ties go to the lowest class id."""
+def predict_batch(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """Class with the highest score under train's weights per row of a
+    (samples x dim) array; ties go to the lowest class id."""
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.ndim != 2:
+        raise ValueError(f"weights must be 2-D, got shape {weights.shape}")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("weights must be finite")
     features = np.asarray(features, dtype=np.float64)
-    dim = model.weights.shape[1] - 1
+    dim = weights.shape[1] - 1
     if features.ndim != 2 or features.shape[1] != dim:
         raise ValueError(
             f"features of shape {features.shape} do not match model dim {dim}"
         )
-    scores = features @ model.weights[:, :-1].T + model.weights[:, -1]
+    scores = features @ weights[:, :-1].T + weights[:, -1]
     return np.argmax(scores, axis=1)
 
 
-def evaluate(model: SvmModel, d: FeatureDataset) -> float:
-    """Fraction of correct predictions on a dataset."""
+def evaluate(weights: np.ndarray, d: FeatureDataset) -> float:
+    """Fraction of correct predictions of train's weights on a dataset."""
     if d.n_samples == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    return float(np.mean(predict_batch(model, d.features) == d.labels))
+    return float(np.mean(predict_batch(weights, d.features) == d.labels))
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import projection, rank
-from .bounds import BoundSpec, det_lower_threshold, jl_success_bound
-from .reporting import atomic_write_text, records_to_csv_text, to_json_text
+from .bounds import det_lower_threshold, jl_success_bound
 from .seeding import check_seed, derive_rng, derive_seed
 
 # leading stream tags, one per suite, so equal seeds never share streams
@@ -71,17 +70,8 @@ class SuiteResult:
     def passed(self) -> bool:
         return all(rec.get("passed", True) for rec in self.records)
 
-    def to_csv_text(self) -> str:
-        return records_to_csv_text(self.records)
-
     def to_json_obj(self) -> dict:
         return {"suite": self.suite, "passed": self.passed, "records": self.records}
-
-    def write_csv(self, path, header_line: str | None = None) -> None:
-        atomic_write_text(path, self.to_csv_text(), header_line)
-
-    def write_json(self, path, header_line: str | None = None) -> None:
-        atomic_write_text(path, to_json_text(self.to_json_obj()), header_line)
 
 
 def _proportion_stderr(q: float, trials: int) -> float:
@@ -173,7 +163,7 @@ def jl_preservation(cfg: McConfig, m: int, n: int) -> SuiteResult:
             hits += 1
     estimate = hits / cfg.trials
     stderr = _proportion_stderr(estimate, cfg.trials)
-    bound = jl_success_bound(BoundSpec(epsilon=cfg.epsilon, n=n, p=cfg.p))
+    bound = jl_success_bound(cfg.epsilon, n, cfg.p)
     record = {
         "n": n,
         "m": m,

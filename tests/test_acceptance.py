@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from flycap.bounds import BoundSpec, jl_success_bound
+from flycap.bounds import jl_success_bound
 from flycap.cap import cap
 from flycap.cli import main
 from flycap.data import SplitSpec
@@ -113,7 +113,7 @@ def test_criterion_3_jl_concentration():
     cfg = McConfig(trials=1000, seed=42, p=0.05, epsilon=0.5)
     rec = jl_preservation(cfg, m=50, n=2000).records[0]
     elapsed = time.perf_counter() - started
-    bound = jl_success_bound(BoundSpec(epsilon=0.5, n=2000, p=0.05))
+    bound = jl_success_bound(0.5, 2000, 0.05)
     hits = round(rec["estimate"] * 1000)
     ok = (
         rec["estimate"] >= bound - 3.0 * rec["stderr"]

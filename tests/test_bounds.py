@@ -6,12 +6,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from flycap.bounds import (
-    BoundSpec,
-    det_lower_threshold,
-    entry_moments,
-    jl_success_bound,
-)
+from flycap.bounds import det_lower_threshold, entry_moments, jl_success_bound
 from flycap.cap import cap, cap_error_bound
 from flycap.projection import entry_stats, sample_matrix
 
@@ -51,52 +46,37 @@ class TestEntryMoments:
         assert abs(st.mean - 0.0) <= 5.0 * se_mean
 
 
-class TestBoundSpec:
-    def test_derived_quantities(self):
-        spec = BoundSpec(epsilon=0.5, n=2000, p=0.05)
-        assert spec.sigma2 == pytest.approx(0.095, abs=1e-15)
-        assert spec.subgaussian_l2 == pytest.approx(1.0 / 0.095, rel=1e-15)
-
-    def test_sigma2_range_and_l2_floor(self):
-        for p in np.linspace(0.01, 0.99, 50):
-            spec = BoundSpec(epsilon=0.3, n=10, p=float(p))
-            assert 0.0 < spec.sigma2 <= 0.5
-            assert spec.subgaussian_l2 >= 2.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BoundSpec(epsilon=0.0, n=10, p=0.1)
-        with pytest.raises(ValueError):
-            BoundSpec(epsilon=0.5, n=0, p=0.1)
-        with pytest.raises(ValueError):
-            BoundSpec(epsilon=0.5, n=10, p=1.0)
-
-
 class TestJlSuccessBound:
     def test_reference_value(self):
         """epsilon=0.5, n=2000, p=0.05: the two exponentials are
         exp(-62.5) (negligible) and exp(-250/23.0526...) ~ 1.945e-5."""
-        bound = jl_success_bound(BoundSpec(epsilon=0.5, n=2000, p=0.05))
+        bound = jl_success_bound(0.5, 2000, 0.05)
         term = math.exp(-0.125 * 2000 / (2.0 * (1.0 / 0.095 + 1.0)))
         assert bound == pytest.approx(1.0 - term, abs=1e-12)
         assert bound == pytest.approx(1.0 - 1.95e-5, abs=5e-7)
 
     def test_clamped_at_zero_for_tiny_n(self):
-        assert jl_success_bound(BoundSpec(epsilon=0.5, n=1, p=0.3)) == 0.0
+        assert jl_success_bound(0.5, 1, 0.3) == 0.0
 
     def test_monotone_in_n(self):
         values = [
-            jl_success_bound(BoundSpec(epsilon=0.4, n=n, p=0.05))
+            jl_success_bound(0.4, n, 0.05)
             for n in (1, 10, 100, 1000, 10000)
         ]
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert all(0.0 <= v <= 1.0 for v in values)
 
     def test_epsilon_domain(self):
-        with pytest.raises(ValueError):
-            jl_success_bound(BoundSpec(epsilon=1.0, n=100, p=0.1))
-        with pytest.raises(ValueError):
-            jl_success_bound(BoundSpec(epsilon=1.5, n=100, p=0.1))
+        for bad in (0.0, -0.2, 1.0, 1.5):
+            with pytest.raises(ValueError, match="epsilon"):
+                jl_success_bound(bad, 100, 0.1)
+
+    def test_n_and_p_domain(self):
+        with pytest.raises(ValueError, match="n must"):
+            jl_success_bound(0.5, 0, 0.1)
+        for bad in (0.0, 1.0):
+            with pytest.raises(ValueError, match="p must"):
+                jl_success_bound(0.5, 10, bad)
 
 
 class TestDetLowerThreshold:

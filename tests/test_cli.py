@@ -3,6 +3,7 @@
 import json
 import os
 import stat
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ import pytest
 import flycap.cli as cli
 import flycap.verify as verify
 from flycap.cli import main, parse_int_grid
-from flycap.data import load_csv, save_csv, synth_blobs
+from flycap.data import SplitSpec, load_csv, save_csv, synth_blobs
+from flycap.experiments import GridPoint, SweepSpec, SynthSpec, run_sweep
+from flycap.svm import TrainSpec
 
 
 class TestParsing:
@@ -194,14 +197,29 @@ class TestSynthCommand:
             os.umask(saved)
         assert os.listdir(tmp_path) == ["synth.csv"]
 
+    @pytest.mark.parametrize("flag", ["--noise-sigma", "--center-scale"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_exits_1_and_writes_nothing(self, tmp_path, capsys, flag, value):
+        code = main(["synth", flag, value, "--out", str(tmp_path / "synth.csv")])
+        assert code == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
 
 class TestSweepCommand:
+    def synth_csv(self, tmp_path, *extra):
+        path = tmp_path / "synth.csv"
+        assert main([
+            "synth", "--classes", "3", "--per-class", "8", "--dim", "10",
+            *extra, "--seed", "7", "--out", str(path),
+        ]) == 0
+        return str(path)
+
     def test_noise_sweep_tiny(self, tmp_path):
         out = tmp_path / "fig6.json"
         code = main([
-            "sweep", "--dataset", "synth", "--grid", "noise",
+            "sweep", "--dataset", self.synth_csv(tmp_path), "--grid", "noise",
             "--axis", "0.0,0.4", "--repeats", "1",
-            "--classes", "3", "--per-class", "8", "--dim", "10",
             "--n", "20", "--k", "5", "--epochs", "3",
             "--seed", "4", "--out", str(out),
         ])
@@ -214,11 +232,62 @@ class TestSweepCommand:
         assert table[1] == "noise,variant,acc_mean,acc_std,repeats"
         assert len(table) == 2 + 6
 
+    def test_csv_dataset_matches_synth_spec(self, tmp_path):
+        """A synthetic set written by `flycap synth` and swept from its
+        CSV gives the records and baseline of run_sweep over the same
+        SynthSpec: the CSV round trip is bit-exact."""
+        dataset = self.synth_csv(
+            tmp_path, "--center-scale", "1.5", "--noise-sigma", "0.3"
+        )
+        out = tmp_path / "sweep.json"
+        assert main([
+            "sweep", "--dataset", dataset, "--grid", "noise",
+            "--axis", "0.0,0.4", "--repeats", "1",
+            "--n", "20", "--k", "5", "--epochs", "3",
+            "--seed", "4", "--out", str(out),
+        ]) == 0
+        from_csv = json.loads(out.read_text().split("\n", 1)[1])
+        grid = []
+        for sigma in (0.0, 0.4):
+            grid += [
+                GridPoint(variant="baseline", noise_sigma=sigma),
+                GridPoint(variant="project", p=0.05, n=20, noise_sigma=sigma),
+                GridPoint(variant="cap", p=0.05, n=20, k=5, noise_sigma=sigma),
+            ]
+        direct = run_sweep(SweepSpec(
+            grid=grid,
+            synth=SynthSpec(num_classes=3, per_class=8, dim=10),
+            repeats=1,
+            split=SplitSpec(train_fraction=0.8, seed=4, stratified=True),
+            train=TrainSpec(lambda_=1e-4, epochs=3, seed=4),
+            seed=4,
+        ))
+        assert from_csv["records"] == direct.records
+        assert from_csv["baseline"] == direct.baseline
+
+    def test_dataset_synth_is_default_synth_spec(self, tmp_path):
+        out = tmp_path / "n.json"
+        assert main([
+            "sweep", "--dataset", "synth", "--grid", "n", "--axis", "8",
+            "--repeats", "1", "--epochs", "1", "--seed", "4", "--out", str(out),
+        ]) == 0
+        report = json.loads(out.read_text().split("\n", 1)[1])
+        assert report["spec"]["synth"] == asdict(SynthSpec())
+
+    @pytest.mark.parametrize("axis", ["nan", "0,inf", "-0.5"])
+    def test_bad_noise_axis_exits_1_and_writes_nothing(self, tmp_path, capsys, axis):
+        code = main([
+            "sweep", "--dataset", "synth", "--grid", "noise", "--axis", axis,
+            "--out", str(tmp_path / "noise.json"),
+        ])
+        assert code == 1
+        assert "noise_sigma must be finite and >= 0" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_rerun_is_byte_identical(self, tmp_path):
         args = [
-            "sweep", "--dataset", "synth", "--grid", "k",
+            "sweep", "--dataset", self.synth_csv(tmp_path), "--grid", "k",
             "--axis", "0,4", "--repeats", "1",
-            "--classes", "3", "--per-class", "8", "--dim", "10",
             "--n", "16", "--epochs", "2", "--seed", "4",
             "--out", str(tmp_path / "k.json"),
         ]
@@ -233,9 +302,8 @@ class TestSweepCommand:
     def test_p_sweep_tiny(self, tmp_path):
         out = tmp_path / "fig3.json"
         code = main([
-            "sweep", "--dataset", "synth", "--grid", "p",
+            "sweep", "--dataset", self.synth_csv(tmp_path), "--grid", "p",
             "--axis", "0.05,0.2", "--repeats", "1",
-            "--classes", "3", "--per-class", "8", "--dim", "10",
             "--n", "16,24", "--epochs", "3", "--seed", "4",
             "--out", str(out),
         ])

@@ -141,8 +141,12 @@ class TestSynthBlobs:
     def test_validation(self):
         with pytest.raises(ValueError):
             synth_blobs(0, 5, 5, 1.0, 0.1, 0)
-        with pytest.raises(ValueError):
-            synth_blobs(2, 5, 5, 1.0, -0.1, 0)
+        for noise_sigma in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="noise_sigma"):
+                synth_blobs(2, 5, 5, 1.0, noise_sigma, 0)
+        for center_scale in (math.nan, -math.inf):
+            with pytest.raises(ValueError, match="center_scale"):
+                synth_blobs(2, 5, 5, center_scale, 0.1, 0)
 
 
 class TestAddNoise:
@@ -155,6 +159,12 @@ class TestAddNoise:
         d = synth_blobs(2, 3, 4, 1.0, 0.1, 5)
         with pytest.raises(ValueError):
             add_noise(d, -0.5, 1)
+
+    def test_non_finite_sigma_rejected(self):
+        d = synth_blobs(2, 3, 4, 1.0, 0.1, 5)
+        for sigma in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                add_noise(d, sigma, 0)
 
     def test_noise_moments(self):
         """Mean and variance of the injected noise match N(0, sigma^2)

@@ -50,6 +50,11 @@ class TestGridPoint:
         with pytest.raises(ValueError):
             GridPoint(variant="mystery")
 
+    def test_noise_sigma_finite_and_non_negative(self):
+        for sigma in (-0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="noise_sigma"):
+                GridPoint(variant="baseline", noise_sigma=sigma)
+
 
 class TestSweepSpec:
     def test_requires_exactly_one_source(self):

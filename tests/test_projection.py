@@ -106,7 +106,7 @@ class TestSampling:
     def test_storage_invariants(self):
         """Row ids are nondecreasing, each row holds as many entries as
         its stream has nonzeros, and columns are sorted within a row."""
-        n_rows, n_cols, p, seed = 80, 60, 0.3, 5
+        n_rows, n_cols, p, seed = 80, 61, 0.3, 5
         m = sample_matrix(n_rows, n_cols, p, seed)
         assert m.rows.shape == m.indices.shape == m.values.shape
         assert set(np.unique(m.values)) <= {-1, 1}

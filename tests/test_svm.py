@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from flycap.data import FeatureDataset, SplitSpec, split, synth_blobs
-from flycap.svm import (
-    SvmModel,
-    TrainSpec,
-    evaluate,
-    predict_batch,
-    train,
-)
+from flycap.svm import TrainSpec, evaluate, predict_batch, train
 
 
 def hinge_objective(weights, d, lambda_):
@@ -37,14 +31,14 @@ def separable_1d(n_per_side=50, seed=0):
 class TestTrain:
     def test_separable_reaches_full_accuracy(self):
         d = separable_1d()
-        model = train(d, TrainSpec(lambda_=1e-3, epochs=30, seed=1))
-        assert evaluate(model, d) == 1.0
+        weights = train(d, TrainSpec(lambda_=1e-3, epochs=30, seed=1))
+        assert evaluate(weights, d) == 1.0
 
     def test_separable_generalizes(self):
         d = separable_1d(200, seed=2)
         train_set, test_set = split(d, SplitSpec(train_fraction=0.75, seed=3))
-        model = train(train_set, TrainSpec(lambda_=1e-3, epochs=30, seed=4))
-        assert evaluate(model, test_set) == 1.0
+        weights = train(train_set, TrainSpec(lambda_=1e-3, epochs=30, seed=4))
+        assert evaluate(weights, test_set) == 1.0
 
     def test_single_class_rejected(self):
         d = FeatureDataset(np.random.default_rng(0).standard_normal((10, 3)), np.zeros(10, dtype=int))
@@ -66,25 +60,25 @@ class TestTrain:
         spec = TrainSpec(lambda_=1e-3, epochs=5, seed=6)
         a = train(d, spec)
         b = train(d, spec)
-        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(a, b)
 
     def test_input_order_invariance(self):
-        """Permuting dataset rows leaves the model bit-identical: the
+        """Permuting dataset rows leaves the weights bit-identical: the
         visit order is seed-derived over a canonical sample order."""
         d = synth_blobs(3, 20, 10, 1.0, 0.3, 7)
         rng = np.random.default_rng(8)
         perm = rng.permutation(d.n_samples)
         shuffled = FeatureDataset(d.features[perm], d.labels[perm])
         spec = TrainSpec(lambda_=1e-3, epochs=5, seed=9)
-        assert np.array_equal(train(d, spec).weights, train(shuffled, spec).weights)
+        assert np.array_equal(train(d, spec), train(shuffled, spec))
 
     def test_objective_descends(self):
         """Full-dataset regularized hinge loss after training never
         exceeds its value at the zero model (which is 1 per class)."""
         d = synth_blobs(4, 30, 8, 1.0, 0.4, 10)
         spec = TrainSpec(lambda_=1e-3, epochs=10, seed=11)
-        model = train(d, spec)
-        trained = hinge_objective(model.weights, d, spec.lambda_)
+        weights = train(d, spec)
+        trained = hinge_objective(weights, d, spec.lambda_)
         assert trained <= hinge_objective(np.zeros((4, 9)), d, spec.lambda_)
 
     def test_chance_level_on_permuted_labels(self):
@@ -94,36 +88,41 @@ class TestTrain:
         rng = np.random.default_rng(13)
         scrambled = FeatureDataset(d.features, rng.permutation(d.labels))
         train_set, test_set = split(scrambled, SplitSpec(train_fraction=0.8, seed=14))
-        model = train(train_set, TrainSpec(lambda_=1e-3, epochs=10, seed=15))
-        assert abs(evaluate(model, test_set) - 0.1) <= 0.05
+        weights = train(train_set, TrainSpec(lambda_=1e-3, epochs=10, seed=15))
+        assert abs(evaluate(weights, test_set) - 0.1) <= 0.05
 
 
 class TestPredict:
     def test_zero_weights_tie_to_class_zero(self):
-        model = SvmModel(np.zeros((4, 6)))
-        assert predict_batch(model, np.ones((1, 5))).tolist() == [0]
+        assert predict_batch(np.zeros((4, 6)), np.ones((1, 5))).tolist() == [0]
 
     def test_positive_scaling_keeps_argmax(self):
         rng = np.random.default_rng(16)
         weights = rng.standard_normal((5, 8))
-        model = SvmModel(weights)
-        scaled = SvmModel(3.7 * weights)
         xs = rng.standard_normal((50, 7))
-        assert np.array_equal(predict_batch(model, xs), predict_batch(scaled, xs))
+        assert np.array_equal(predict_batch(weights, xs), predict_batch(3.7 * weights, xs))
 
     def test_dimension_mismatch(self):
-        model = SvmModel(np.zeros((2, 4)))
+        weights = np.zeros((2, 4))
         with pytest.raises(ValueError):
-            predict_batch(model, np.zeros((1, 4)))
+            predict_batch(weights, np.zeros((1, 4)))
         with pytest.raises(ValueError):
-            predict_batch(model, np.zeros(3))
+            predict_batch(weights, np.zeros(3))
+        with pytest.raises(ValueError, match="2-D"):
+            predict_batch(np.zeros(4), np.zeros((1, 3)))
+
+    def test_non_finite_weights_rejected(self):
+        weights = np.zeros((2, 4))
+        weights[1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            predict_batch(weights, np.zeros((1, 3)))
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(17)
-        model = SvmModel(rng.standard_normal((3, 5)))
+        weights = rng.standard_normal((3, 5))
         xs = rng.standard_normal((20, 4))
-        batch = predict_batch(model, xs)
-        assert [predict_batch(model, x[None, :])[0] for x in xs] == batch.tolist()
+        batch = predict_batch(weights, xs)
+        assert [predict_batch(weights, x[None, :])[0] for x in xs] == batch.tolist()
 
 
 class TestEvaluate:
@@ -133,11 +132,9 @@ class TestEvaluate:
         d = synth_blobs(10, 20, 6, 1.0, 0.3, 18)
         weights = np.zeros((10, 7))
         weights[3, -1] = 1.0  # constant winner: class 3
-        model = SvmModel(weights)
-        assert evaluate(model, d) == pytest.approx(0.1)
+        assert evaluate(weights, d) == pytest.approx(0.1)
 
     def test_empty_dataset_is_an_error(self):
-        model = SvmModel(np.zeros((2, 4)))
         empty = FeatureDataset(np.empty((0, 3)), np.empty(0, dtype=int))
         with pytest.raises(ValueError):
-            evaluate(model, empty)
+            evaluate(np.zeros((2, 4)), empty)

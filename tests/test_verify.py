@@ -9,6 +9,7 @@ import pytest
 
 from flycap.projection import SparseSignMatrix, sample_matrix
 from flycap.rank import det_exact
+from flycap.reporting import write_csv, write_json
 from flycap.verify import (
     McConfig,
     cap_bound_sweep,
@@ -249,14 +250,32 @@ class TestSerialization:
             result = invertibility_curve(cfg)
             csv_path = tmp_path / f"{tag}.csv"
             json_path = tmp_path / f"{tag}.json"
-            result.write_csv(csv_path, header_line="invocation")
-            result.write_json(json_path, header_line="invocation")
+            write_csv(csv_path, result.records, header_line="invocation")
+            write_json(json_path, result.to_json_obj(), header_line="invocation")
             paths.append((csv_path.read_bytes(), json_path.read_bytes()))
         assert paths[0] == paths[1]
 
     def test_header_line_present(self, tmp_path):
         result = cap_bound_sweep(McConfig(trials=10, seed=1, p=0.5), length=20)
         out = tmp_path / "cap.csv"
-        result.write_csv(out, header_line="flycap verify cap --length 20")
+        write_csv(out, result.records, header_line="flycap verify cap --length 20")
         first = out.read_text().splitlines()[0]
         assert first == "# flycap verify cap --length 20"
+
+    def test_numpy_scalars_written_as_python_values(self, tmp_path):
+        """Suites given numpy scalars (np.float64 p, np.int64 m and n)
+        yield numpy floats, bools and ints in their records; the files
+        match those of the same suites given Python scalars."""
+
+        def files(p, m, n, tag):
+            inv = invertibility_curve(McConfig(trials=5, seed=1, p=p, grid=(1, 2)))
+            jl = jl_preservation(McConfig(trials=5, seed=1, p=p), m=m, n=n)
+            for name, result in (("inv", inv), ("jl", jl)):
+                write_csv(tmp_path / f"{tag}_{name}.csv", result.records)
+                write_json(tmp_path / f"{tag}_{name}.json", result.to_json_obj())
+            return [(tmp_path / f"{tag}_{name}.{ext}").read_bytes()
+                    for name in ("inv", "jl") for ext in ("csv", "json")]
+
+        numpy_files = files(np.float64(0.1), np.int64(5), np.int64(40), "np")
+        assert numpy_files == files(0.1, 5, 40, "py")
+        assert b"np." not in b"".join(numpy_files)
