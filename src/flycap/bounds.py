@@ -51,6 +51,6 @@ def det_lower_threshold(m: int, p: float, epsilon: float) -> float:
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
     sigma2 = entry_moments(p)[2]
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     return 0.5 * m * math.log(sigma2) + 0.5 * math.lgamma(m + 1) - m ** (0.5 + epsilon)

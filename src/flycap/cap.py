@@ -51,8 +51,8 @@ def cap_error_bound(norm_p_of_x: float, k: int, p_norm: float) -> float:
     """
     if not 0.0 < p_norm < 2.0:
         raise ValueError(f"p_norm must lie in (0, 2), got {p_norm}")
-    if norm_p_of_x < 0.0:
-        raise ValueError(f"norm must be non-negative, got {norm_p_of_x}")
+    if not 0.0 <= norm_p_of_x < np.inf:
+        raise ValueError(f"norm must be finite and non-negative, got {norm_p_of_x}")
     k = int(k)
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")

@@ -11,14 +11,16 @@ invocation; exit codes are 0 (success), 1 (validation error), and 2
 from __future__ import annotations
 
 import argparse
+import os
 import shlex
 import sys
+from dataclasses import replace
 
 from . import bounds as bounds_mod
 from . import data, experiments, reporting, svm, verify
 from .cap import cap_error_bound
 from .data import SplitSpec
-from .experiments import GridPoint, SweepSpec, SynthSpec
+from .experiments import SweepSpec, SynthSpec
 from .transform import TransformConfig, build
 
 DEFAULT_SEED = 42
@@ -51,13 +53,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_tr = sub.add_parser("transform", help="project+cap a feature CSV")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=DEFAULT_SEED)
+
+    p_tr = sub.add_parser("transform", parents=[seeded], help="project+cap a feature CSV")
     p_tr.add_argument("--input", required=True)
     p_tr.add_argument("--output", required=True)
     p_tr.add_argument("--n", type=int, required=True, help="projection dimension")
     p_tr.add_argument("--p", type=float, required=True, help="Bernoulli parameter")
     p_tr.add_argument("--k", type=int, required=True, help="cap size")
-    p_tr.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_tr.add_argument(
         "--expect-dim", type=int, default=None, help="fail unless the file has this dim"
     )
@@ -82,47 +86,44 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a Monte Carlo verification suite")
     vsub = p_ver.add_subparsers(dest="suite", required=True)
 
-    v_inv = vsub.add_parser("invertibility", help="square-submatrix invertibility curve")
+    def suite(name: str, summary: str, trials: int = 1000) -> argparse.ArgumentParser:
+        # a parent parser would share one --trials action, so one suite's
+        # default would become every suite's
+        v = vsub.add_parser(name, parents=[seeded], help=summary)
+        v.add_argument("--trials", type=int, default=trials)
+        v.add_argument("--out", required=True, help="CSV path (JSON sits beside)")
+        return v
+
+    v_inv = suite("invertibility", "square-submatrix invertibility curve", trials=10000)
     v_inv.add_argument("--p", type=float, required=True)
     v_inv.add_argument("--m", type=parse_int_grid, required=True, help="grid a:b[:step]")
-    v_inv.add_argument("--trials", type=int, default=10000)
-    v_inv.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    v_inv.add_argument("--out", required=True)
 
-    v_jl = vsub.add_parser("jl", help="pairwise distance preservation")
+    v_jl = suite("jl", "pairwise distance preservation")
     v_jl.add_argument("--p", type=float, required=True)
     v_jl.add_argument("--m", type=int, required=True)
     v_jl.add_argument("--n", type=int, required=True)
     v_jl.add_argument("--epsilon", type=float, default=0.5)
-    v_jl.add_argument("--trials", type=int, default=1000)
-    v_jl.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    v_jl.add_argument("--out", required=True)
 
-    v_op = vsub.add_parser("opnorm", help="operator norm over sqrt(n) scaling")
+    v_op = suite("opnorm", "operator norm over sqrt(n) scaling")
     v_op.add_argument("--p", type=float, required=True)
     v_op.add_argument("--m", type=int, required=True)
     v_op.add_argument("--n", type=parse_int_grid, required=True, help="grid a:b[:step]")
-    v_op.add_argument("--trials", type=int, default=1000)
-    v_op.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    v_op.add_argument("--out", required=True)
 
-    v_det = vsub.add_parser("det", help="determinant lower-bound incidence")
+    v_det = suite("det", "determinant lower-bound incidence")
     v_det.add_argument("--p", type=float, required=True)
     v_det.add_argument("--m", type=int, required=True)
     v_det.add_argument("--epsilon", type=float, default=0.1)
-    v_det.add_argument("--trials", type=int, default=1000)
-    v_det.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    v_det.add_argument("--out", required=True)
 
-    v_cap = vsub.add_parser("cap", help="cap residual bound on random vectors")
+    v_cap = suite("cap", "cap residual bound on random vectors")
     v_cap.add_argument("--length", type=int, required=True)
-    v_cap.add_argument("--trials", type=int, default=1000)
-    v_cap.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    v_cap.add_argument("--out", required=True)
+    # the cap suite draws no sign matrix; McConfig still needs a valid p
+    v_cap.set_defaults(p=0.5)
 
-    p_sw = sub.add_parser("sweep", help="accuracy sweep over transform parameters")
+    p_sw = sub.add_parser(
+        "sweep", parents=[seeded], help="accuracy sweep over transform parameters"
+    )
     p_sw.add_argument("--dataset", required=True, help="a feature CSV, or `synth`: SynthSpec()")
-    p_sw.add_argument("--grid", required=True, choices=("p", "n", "k", "noise"))
+    p_sw.add_argument("--grid", required=True, choices=tuple(experiments.AXES))
     p_sw.add_argument("--axis", default=None, help="override axis values (comma list)")
     p_sw.add_argument("--repeats", type=int, default=5)
     p_sw.add_argument("--n", type=parse_int_grid, default=None,
@@ -132,23 +133,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--train-fraction", type=float, default=0.8)
     p_sw.add_argument("--lambda", dest="lambda_", type=float, default=1e-4)
     p_sw.add_argument("--epochs", type=int, default=20)
-    p_sw.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_sw.add_argument("--out", required=True, help="JSON report path (CSV sits beside)")
 
-    p_sy = sub.add_parser("synth", help="write a synthetic blob dataset CSV")
+    p_sy = sub.add_parser("synth", parents=[seeded], help="write a synthetic blob dataset CSV")
     p_sy.add_argument("--classes", type=int, default=10)
     p_sy.add_argument("--per-class", type=int, default=100)
     p_sy.add_argument("--dim", type=int, default=433)
     p_sy.add_argument("--center-scale", type=float, default=1.5)
     p_sy.add_argument("--noise-sigma", type=float, default=0.3)
-    p_sy.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_sy.add_argument("--out", required=True)
 
     return parser
 
 
 def _cmd_transform(args, invocation: str) -> int:
-    print(f"seed={args.seed}")
     dataset = data.load_csv(args.input)
     if args.expect_dim is not None and dataset.dim != args.expect_dim:
         raise ValueError(
@@ -181,25 +179,16 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args, invocation: str) -> int:
-    print(f"seed={args.seed}")
+    cfg = verify.McConfig(trials=args.trials, seed=args.seed, p=args.p)
     if args.suite == "invertibility":
-        cfg = verify.McConfig(
-            trials=args.trials, seed=args.seed, p=args.p, grid=tuple(args.m)
-        )
-        result = verify.invertibility_curve(cfg)
+        result = verify.invertibility_curve(replace(cfg, grid=tuple(args.m)))
     elif args.suite == "jl":
-        cfg = verify.McConfig(
-            trials=args.trials, seed=args.seed, p=args.p, epsilon=args.epsilon
-        )
-        result = verify.jl_preservation(cfg, m=args.m, n=args.n)
+        result = verify.jl_preservation(replace(cfg, epsilon=args.epsilon), m=args.m, n=args.n)
     elif args.suite == "opnorm":
-        cfg = verify.McConfig(trials=args.trials, seed=args.seed, p=args.p)
         result = verify.opnorm_scaling(cfg, m=args.m, n_grid=args.n)
     elif args.suite == "det":
-        cfg = verify.McConfig(trials=args.trials, seed=args.seed, p=args.p)
         result = verify.det_bound_incidence(cfg, m=args.m, epsilon=args.epsilon)
     else:
-        cfg = verify.McConfig(trials=args.trials, seed=args.seed, p=0.5)
         result = verify.cap_bound_sweep(cfg, length=args.length)
     reporting.write_csv(args.out, result.records, invocation)
     json_path = args.out.removesuffix(".csv") + ".json"
@@ -208,55 +197,17 @@ def _cmd_verify(args, invocation: str) -> int:
     return 0 if result.passed else 2
 
 
-_SWEEP_AXES = {
-    "p": [0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5],
-    "n": list(range(433, 2834, 100)),
-    "k": [0, 10, 25, 50, 100, 150, 200, 300, 433],
-    "noise": [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0],
-}
-
-
-def _sweep_grid(args) -> list[GridPoint]:
-    if args.axis is not None:
-        if args.grid in ("p", "noise"):
-            axis = parse_float_list(args.axis)
-        else:
-            axis = parse_int_grid(args.axis)
-    else:
-        axis = _SWEEP_AXES[args.grid]
-    n_fixed = args.n if args.n is not None else [433, 2000]
-    grid: list[GridPoint] = []
-    if args.grid == "p":
-        for p in axis:
-            for n in n_fixed:
-                grid.append(GridPoint(variant="project", p=p, n=n))
-    elif args.grid == "n":
-        for n in axis:
-            grid.append(GridPoint(variant="project", p=args.p, n=n))
-    elif args.grid == "k":
-        for k in axis:
-            for n in n_fixed:
-                grid.append(GridPoint(variant="cap", p=args.p, n=n, k=min(k, n)))
-    else:
-        n_noise = n_fixed[0] if args.n is not None else 2000
-        for sigma in axis:
-            grid.append(GridPoint(variant="baseline", noise_sigma=sigma))
-            grid.append(
-                GridPoint(variant="project", p=args.p, n=n_noise, noise_sigma=sigma)
-            )
-            grid.append(
-                GridPoint(
-                    variant="cap", p=args.p, n=n_noise, k=args.k, noise_sigma=sigma
-                )
-            )
-    return grid
-
-
 def _cmd_sweep(args, invocation: str) -> int:
-    print(f"seed={args.seed}")
     synth = SynthSpec() if args.dataset == "synth" else None
+    table_path = args.out.removesuffix(".json") + ".csv"
+    outputs = {os.path.realpath(args.out), os.path.realpath(table_path)}
+    if synth is None and os.path.realpath(args.dataset) in outputs:
+        raise ValueError(f"--out {args.out} would overwrite --dataset {args.dataset}")
+    parse = parse_float_list if args.grid in ("p", "noise") else parse_int_grid
+    values = None if args.axis is None else parse(args.axis)
+    grid = experiments.preset_grid(args.grid, values, p=args.p, k=args.k, n_fixed=args.n)
     spec = SweepSpec(
-        grid=tuple(_sweep_grid(args)),
+        grid=grid,
         dataset_path=None if synth else args.dataset,
         synth=synth,
         repeats=args.repeats,
@@ -267,7 +218,7 @@ def _cmd_sweep(args, invocation: str) -> int:
     report = experiments.run_sweep(spec)
     rows = experiments.fig_tables(report, args.grid)
     reporting.write_json(args.out, report.to_json_obj(), invocation)
-    reporting.write_csv(args.out.removesuffix(".json") + ".csv", rows, invocation)
+    reporting.write_csv(table_path, rows, invocation)
     print(
         f"baseline acc={report.baseline['acc_mean']:.4f} "
         f"records={len(report.records)}"
@@ -276,7 +227,6 @@ def _cmd_sweep(args, invocation: str) -> int:
 
 
 def _cmd_synth(args, invocation: str) -> int:
-    print(f"seed={args.seed}")
     dataset = data.synth_blobs(
         args.classes, args.per_class, args.dim,
         args.center_scale, args.noise_sigma, args.seed,
@@ -293,9 +243,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     invocation = shlex.join(["flycap"] + argv)
-    # the reproducibility header must record the seed even when defaulted
-    if getattr(args, "seed", None) is not None and "--seed" not in argv:
-        invocation += f" --seed {args.seed}"
+    seed = getattr(args, "seed", None)
+    if seed is not None:
+        print(f"seed={seed}")
+        # the reproducibility header must record the seed even when defaulted
+        if "--seed" not in argv:
+            invocation += f" --seed {seed}"
     try:
         if args.command == "transform":
             return _cmd_transform(args, invocation)

@@ -9,7 +9,7 @@ transform) is computed once per sweep and echoed in every report.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -20,6 +20,14 @@ from .svm import TrainSpec
 from .transform import TransformConfig, build
 
 VARIANTS = ("baseline", "project", "cap")
+
+# figure family -> (record key of its axis, preset axis values)
+AXES = {
+    "p": ("p", (0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5)),
+    "n": ("n", tuple(range(433, 2834, 100))),
+    "k": ("k", (0, 10, 25, 50, 100, 150, 200, 300, 433)),
+    "noise": ("sigma", (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0)),
+}
 
 # stream tags inside one (grid point, repeat) cell
 _TAG_NOISE = 0
@@ -154,18 +162,10 @@ def _run_cell(
     working = FeatureDataset(features, noisy.labels, noisy.class_names)
     sparsity = float(np.mean(working.features != 0.0))
 
-    split_spec = SplitSpec(
-        train_fraction=spec.split.train_fraction,
-        seed=derive_seed(spec.split.seed, repeat),
-        stratified=spec.split.stratified,
-    )
+    split_spec = replace(spec.split, seed=derive_seed(spec.split.seed, repeat))
     train_set, test_set = data.split(working, split_spec)
     train_z, test_z = data.standardize(train_set, test_set)
-    train_spec = TrainSpec(
-        lambda_=spec.train.lambda_,
-        epochs=spec.train.epochs,
-        seed=derive_seed(spec.train.seed, slot, repeat),
-    )
+    train_spec = replace(spec.train, seed=derive_seed(spec.train.seed, slot, repeat))
     weights = svm.train(train_z, train_spec)
     return svm.evaluate(weights, test_z), sparsity
 
@@ -235,7 +235,31 @@ def _spec_echo(spec: SweepSpec) -> dict:
     return echo
 
 
-_AXIS_KEYS = {"p": "p", "n": "n", "k": "k", "noise": "sigma"}
+def preset_grid(axis, values=None, *, p, k, n_fixed=None) -> list[GridPoint]:
+    """One figure family's grid over `values` (default: its presets).
+
+    p and k vary at each fixed n (default 433 and 2000; k is clamped to
+    n), n at p, and noise runs baseline, projection and cap at (p, n, k)
+    for each sigma at a single n (default 2000).
+    """
+    if axis not in AXES:
+        raise ValueError(f"unknown axis {axis!r}; expected one of {sorted(AXES)}")
+    values = AXES[axis][1] if values is None else values
+    if axis == "noise":
+        if n_fixed is not None and len(n_fixed) != 1:
+            raise ValueError(f"the noise axis takes a single n, got {list(n_fixed)}")
+        n = 2000 if n_fixed is None else n_fixed[0]
+        cells = ({"variant": "baseline"}, {"variant": "project", "p": p, "n": n},
+                 {"variant": "cap", "p": p, "n": n, "k": k})
+        return [GridPoint(**cell, noise_sigma=sigma) for sigma in values for cell in cells]
+    if axis == "n":
+        return [GridPoint(variant="project", p=p, n=n) for n in values]
+    n_fixed = (433, 2000) if n_fixed is None else n_fixed
+    if axis == "p":
+        return [GridPoint(variant="project", p=v, n=n) for v in values for n in n_fixed]
+    return [
+        GridPoint(variant="cap", p=p, n=n, k=min(v, n)) for v in values for n in n_fixed
+    ]
 
 
 def fig_tables(report: ExperimentReport, which: str) -> list[dict]:
@@ -244,11 +268,11 @@ def fig_tables(report: ExperimentReport, which: str) -> list[dict]:
     The variant column carries the non-axis parameters that distinguish
     curves, so each (axis value, variant) pair is one plotted point.
     """
-    if which not in _AXIS_KEYS:
-        raise ValueError(f"unknown axis {which!r}; expected one of {sorted(_AXIS_KEYS)}")
+    if which not in AXES:
+        raise ValueError(f"unknown axis {which!r}; expected one of {sorted(AXES)}")
     if not report.records:
         raise ValueError("report has no records")
-    key = _AXIS_KEYS[which]
+    key = AXES[which][0]
     repeats = report.spec_echo.get("repeats")
     rows = []
     for rec in report.records:

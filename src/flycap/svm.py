@@ -28,8 +28,8 @@ class TrainSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lambda_ <= 0.0:
-            raise ValueError(f"lambda_ must be positive, got {self.lambda_}")
+        if not 0.0 < self.lambda_ < math.inf:
+            raise ValueError(f"lambda_ must be positive and finite, got {self.lambda_}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         check_seed(self.seed)

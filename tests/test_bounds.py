@@ -109,8 +109,9 @@ class TestDetLowerThreshold:
             det_lower_threshold(0, 0.5, 0.1)
         with pytest.raises(ValueError):
             det_lower_threshold(5, 1.0, 0.1)
-        with pytest.raises(ValueError):
-            det_lower_threshold(5, 0.5, 0.0)
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="epsilon"):
+                det_lower_threshold(5, 0.5, bad)
 
 
 class TestCappedResidualBound:

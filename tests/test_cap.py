@@ -122,8 +122,9 @@ class TestErrorBound:
             cap_error_bound(1.0, 1, 2.0)
         with pytest.raises(ValueError):
             cap_error_bound(1.0, 1, 0.0)
-        with pytest.raises(ValueError):
-            cap_error_bound(-1.0, 1, 1.0)
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="norm"):
+                cap_error_bound(bad, 1, 1.0)
 
     def test_residual_never_exceeds_bound(self):
         """Measured |x - cap_k(x)|_2 stays below the bound on 1000 random

@@ -61,8 +61,30 @@ class TestBounds:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["det", "--m", "8", "--p", "0.3", "--epsilon", "nan"],
+        ["det", "--m", "8", "--p", "0.3", "--epsilon", "inf"],
+        ["cap", "--norm", "nan", "--k", "3", "--p-norm", "1"],
+        ["cap", "--norm", "inf", "--k", "3", "--p-norm", "1"],
+    ])
+    def test_non_finite_input_exits_1(self, capsys, argv):
+        assert main(["bounds", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite" in captured.err
+
 
 class TestVerifyCommand:
+    @pytest.mark.parametrize("suite, flags, trials", [
+        ("invertibility", ["--p", "0.1", "--m", "1:2"], 10000),
+        ("jl", ["--p", "0.1", "--m", "5", "--n", "50"], 1000),
+        ("opnorm", ["--p", "0.1", "--m", "5", "--n", "10,20"], 1000),
+        ("det", ["--p", "0.1", "--m", "5"], 1000),
+        ("cap", ["--length", "50"], 1000),
+    ])
+    def test_parser_defaults(self, suite, flags, trials):
+        args = cli.build_parser().parse_args(["verify", suite, *flags, "--out", "x.csv"])
+        assert (args.trials, args.seed) == (trials, 42)
+
     def test_invertibility_writes_csv_and_json(self, tmp_path, capsys):
         out = tmp_path / "inv.csv"
         code = main([
@@ -110,6 +132,15 @@ class TestVerifyCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_non_finite_det_epsilon_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        code = main([
+            "verify", "det", "--p", "0.3", "--m", "8", "--epsilon", "nan",
+            "--trials", "10", "--out", str(tmp_path / "det.csv"),
+        ])
+        assert code == 1
+        assert "epsilon must be positive and finite" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
 
 class TestTransformCommand:
@@ -283,6 +314,31 @@ class TestSweepCommand:
         assert code == 1
         assert "noise_sigma must be finite and >= 0" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("out", ["synth.json", "synth.csv"])
+    def test_output_onto_dataset_exits_1_and_keeps_it(self, tmp_path, capsys, out):
+        """The report or its table sitting on the dataset path would
+        overwrite the input; the sweep refuses before running."""
+        dataset = self.synth_csv(tmp_path)
+        before = (tmp_path / "synth.csv").read_bytes()
+        code = main([
+            "sweep", "--dataset", dataset, "--grid", "n", "--axis", "8",
+            "--repeats", "1", "--epochs", "1", "--out", str(tmp_path / out),
+        ])
+        assert code == 1
+        assert "would overwrite --dataset" in capsys.readouterr().err
+        assert (tmp_path / "synth.csv").read_bytes() == before
+        assert os.listdir(tmp_path) == ["synth.csv"]
+
+    def test_noise_axis_with_several_dims_exits_1(self, tmp_path, capsys):
+        code = main([
+            "sweep", "--dataset", self.synth_csv(tmp_path), "--grid", "noise",
+            "--axis", "0", "--n", "16,24", "--repeats", "1", "--epochs", "1",
+            "--out", str(tmp_path / "noise.json"),
+        ])
+        assert code == 1
+        assert "the noise axis takes a single n" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["synth.csv"]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         args = [

@@ -10,6 +10,7 @@ from flycap.experiments import (
     SweepSpec,
     SynthSpec,
     fig_tables,
+    preset_grid,
     run_sweep,
 )
 from flycap.svm import TrainSpec
@@ -164,6 +165,31 @@ class TestRunSweep:
         for row in rows:
             by_sigma.setdefault(row["noise"], []).append(row["variant"])
         assert all(len(v) == 3 for v in by_sigma.values())
+
+
+class TestPresetGrid:
+    def test_noise_presets(self):
+        grid = preset_grid("noise", p=0.05, k=200)
+        assert len(grid) == 21  # 7 sigmas x 3 variants
+        assert {g.n for g in grid if g.variant != "baseline"} == {2000}
+        assert [g.variant for g in grid[:3]] == ["baseline", "project", "cap"]
+
+    def test_k_clamped_to_n(self):
+        grid = preset_grid("k", (0, 500), p=0.05, k=200, n_fixed=(433,))
+        assert [(g.variant, g.n, g.k) for g in grid] == [("cap", 433, 0), ("cap", 433, 433)]
+
+    def test_p_and_n_presets(self):
+        assert len(preset_grid("p", p=0.05, k=200)) == 8 * 2  # 8 p values x (433, 2000)
+        assert [g.n for g in preset_grid("n", p=0.05, k=200)] == list(range(433, 2834, 100))
+
+    def test_noise_takes_a_single_n(self):
+        assert {g.n for g in preset_grid("noise", (0.5,), p=0.1, k=4, n_fixed=(16,))} == {None, 16}
+        with pytest.raises(ValueError, match="single n"):
+            preset_grid("noise", (0.5,), p=0.1, k=4, n_fixed=(16, 24))
+
+    def test_unknown_axis_rejected(self):
+        with pytest.raises(ValueError, match="unknown axis"):
+            preset_grid("sigma", p=0.1, k=4)
 
 
 class TestFigTables:

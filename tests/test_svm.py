@@ -40,6 +40,13 @@ class TestTrain:
         weights = train(train_set, TrainSpec(lambda_=1e-3, epochs=30, seed=4))
         assert evaluate(weights, test_set) == 1.0
 
+    def test_spec_domain(self):
+        for bad in (0.0, -1e-3, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="lambda_"):
+                TrainSpec(lambda_=bad)
+        with pytest.raises(ValueError, match="epochs"):
+            TrainSpec(epochs=0)
+
     def test_single_class_rejected(self):
         d = FeatureDataset(np.random.default_rng(0).standard_normal((10, 3)), np.zeros(10, dtype=int))
         with pytest.raises(ValueError):
