@@ -12,13 +12,7 @@ from .bounds import det_lower_threshold, entry_moments, jl_success_bound
 from .cap import cap, cap_error_bound
 from .data import FeatureDataset, SplitSpec, add_noise, load_csv, save_csv, split, standardize, synth_blobs
 from .experiments import ExperimentReport, GridPoint, SweepSpec, SynthSpec, fig_tables, run_sweep
-from .projection import (
-    EntryStats,
-    SparseSignMatrix,
-    apply,
-    entry_stats,
-    sample_matrix,
-)
+from .projection import SparseSignMatrix, apply, sample_matrix
 from .svm import TrainSpec, evaluate, train
 from .transform import Transform, TransformConfig, build
 from .verify import (

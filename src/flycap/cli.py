@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
         # default would become every suite's
         v = vsub.add_parser(name, parents=[seeded], help=summary)
         v.add_argument("--trials", type=int, default=trials)
-        v.add_argument("--out", required=True, help="CSV path (JSON sits beside)")
+        v.add_argument("--out", required=True, help="*.csv path (JSON sits beside)")
         return v
 
     v_inv = suite("invertibility", "square-submatrix invertibility curve", trials=10000)
@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--train-fraction", type=float, default=0.8)
     p_sw.add_argument("--lambda", dest="lambda_", type=float, default=1e-4)
     p_sw.add_argument("--epochs", type=int, default=20)
-    p_sw.add_argument("--out", required=True, help="JSON report path (CSV sits beside)")
+    p_sw.add_argument("--out", required=True, help="*.json report path (CSV sits beside)")
 
     p_sy = sub.add_parser("synth", parents=[seeded], help="write a synthetic blob dataset CSV")
     p_sy.add_argument("--classes", type=int, default=10)
@@ -179,6 +179,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args, invocation: str) -> int:
+    if not args.out.endswith(".csv"):
+        raise ValueError(f"--out {args.out} must end in .csv")
     cfg = verify.McConfig(trials=args.trials, seed=args.seed, p=args.p)
     if args.suite == "invertibility":
         result = verify.invertibility_curve(replace(cfg, grid=tuple(args.m)))
@@ -203,6 +205,8 @@ def _cmd_sweep(args, invocation: str) -> int:
     outputs = {os.path.realpath(args.out), os.path.realpath(table_path)}
     if synth is None and os.path.realpath(args.dataset) in outputs:
         raise ValueError(f"--out {args.out} would overwrite --dataset {args.dataset}")
+    if not args.out.endswith(".json"):
+        raise ValueError(f"--out {args.out} must end in .json")
     parse = parse_float_list if args.grid in ("p", "noise") else parse_int_grid
     values = None if args.axis is None else parse(args.axis)
     grid = experiments.preset_grid(args.grid, values, p=args.p, k=args.k, n_fixed=args.n)
@@ -211,7 +215,7 @@ def _cmd_sweep(args, invocation: str) -> int:
         dataset_path=None if synth else args.dataset,
         synth=synth,
         repeats=args.repeats,
-        split=SplitSpec(train_fraction=args.train_fraction, seed=args.seed, stratified=True),
+        split=SplitSpec(train_fraction=args.train_fraction, seed=args.seed),
         train=svm.TrainSpec(lambda_=args.lambda_, epochs=args.epochs, seed=args.seed),
         seed=args.seed,
     )

@@ -68,7 +68,6 @@ class FeatureDataset:
 class SplitSpec:
     train_fraction: float
     seed: int
-    stratified: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
@@ -97,7 +96,11 @@ def load_csv(path) -> FeatureDataset:
         if line.startswith("#"):
             directive = line[1:].strip()
             if directive.startswith("classes="):
+                if pinned_names is not None:
+                    raise CsvFormatError(f"{path}: line {lineno}: second `# classes=` line")
                 pinned_names = directive[len("classes=") :].split(",")
+                if len(set(pinned_names)) != len(pinned_names):
+                    raise CsvFormatError(f"{path}: line {lineno}: repeated class name")
             continue
         parts = line.split(",")
         if len(parts) < 2:
@@ -125,27 +128,19 @@ def load_csv(path) -> FeatureDataset:
 
 
 def _map_labels(raw_labels, pinned_names, path):
-    all_ints = all(_is_int(s) for s in raw_labels)
-    if pinned_names is not None:
-        mapping = {name: i for i, name in enumerate(pinned_names)}
-        ids = []
-        for s in raw_labels:
-            if s not in mapping:
-                raise CsvFormatError(f"{path}: unknown label {s!r}")
-            ids.append(mapping[s])
-        return np.array(ids, dtype=np.int64), list(pinned_names)
-    if all_ints:
+    if pinned_names is None and all(_is_int(s) for s in raw_labels):
         ids = [int(s) for s in raw_labels]
         if min(ids) < 0:
             raise CsvFormatError(f"{path}: unknown label {min(ids)!r} (negative)")
         return np.array(ids, dtype=np.int64), None
-    seen: dict[str, int] = {}
+    names = pinned_names if pinned_names is not None else list(dict.fromkeys(raw_labels))
+    mapping = {name: i for i, name in enumerate(names)}
     ids = []
     for s in raw_labels:
-        if s not in seen:
-            seen[s] = len(seen)
-        ids.append(seen[s])
-    return np.array(ids, dtype=np.int64), list(seen)
+        if s not in mapping:
+            raise CsvFormatError(f"{path}: unknown label {s!r}")
+        ids.append(mapping[s])
+    return np.array(ids, dtype=np.int64), names
 
 
 def _is_int(s: str) -> bool:
@@ -221,27 +216,22 @@ def add_noise(d: FeatureDataset, sigma: float, seed: int) -> FeatureDataset:
 
 
 def split(d: FeatureDataset, spec: SplitSpec) -> tuple[FeatureDataset, FeatureDataset]:
-    """Disjoint, exhaustive train/test partition.
+    """Disjoint, exhaustive, stratified train/test partition.
 
-    Stratified mode shuffles within each class and keeps per-class
-    proportions within one sample. Selected indices are re-sorted into
-    original dataset order.
+    Shuffles within each class and keeps per-class proportions within
+    one sample. Selected indices are re-sorted into original dataset
+    order.
     """
     if d.n_samples == 0:
         raise ValueError("cannot split an empty dataset")
     rng = derive_rng(spec.seed)
-    if spec.stratified:
-        train_idx = []
-        for c in np.unique(d.labels):
-            members = np.flatnonzero(d.labels == c)
-            perm = rng.permutation(members.size)
-            n_train = int(round(spec.train_fraction * members.size))
-            train_idx.append(members[perm[:n_train]])
-        train_idx = np.sort(np.concatenate(train_idx))
-    else:
-        perm = rng.permutation(d.n_samples)
-        n_train = int(round(spec.train_fraction * d.n_samples))
-        train_idx = np.sort(perm[:n_train])
+    train_idx = []
+    for c in np.unique(d.labels):
+        members = np.flatnonzero(d.labels == c)
+        perm = rng.permutation(members.size)
+        n_train = int(round(spec.train_fraction * members.size))
+        train_idx.append(members[perm[:n_train]])
+    train_idx = np.sort(np.concatenate(train_idx))
     mask = np.zeros(d.n_samples, dtype=bool)
     mask[train_idx] = True
     test_idx = np.flatnonzero(~mask)

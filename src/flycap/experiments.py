@@ -91,7 +91,7 @@ class SweepSpec:
     dataset_path: str | None = None
     synth: SynthSpec | None = None
     repeats: int = 5
-    split: SplitSpec = SplitSpec(train_fraction=0.8, seed=0, stratified=True)
+    split: SplitSpec = SplitSpec(train_fraction=0.8, seed=0)
     train: TrainSpec = TrainSpec()
     seed: int = 42
 

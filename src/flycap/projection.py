@@ -20,15 +20,6 @@ _MAX_POSITIONS = np.iinfo(np.int64).max
 _BLOCK_POSITIONS = 2**20
 
 
-@dataclass
-class EntryStats:
-    """Empirical moments of a sampled matrix, over all positions."""
-
-    zero_fraction: float
-    mean: float
-    variance: float
-
-
 @dataclass(frozen=True, eq=False)
 class SparseSignMatrix:
     """A {-1, 0, +1} random matrix stored as (row, column, value) triplets.
@@ -136,16 +127,3 @@ def apply(m: SparseSignMatrix, x: np.ndarray) -> np.ndarray:
     contrib *= m.values
     return np.bincount(m.rows, weights=contrib, minlength=m.n_rows)
 
-
-def entry_stats(m: SparseSignMatrix) -> EntryStats:
-    """Exact empirical zero fraction, mean, and variance over all positions."""
-    total = m.n_rows * m.n_cols
-    nnz = m.nnz
-    mean = float(m.values.sum(dtype=np.int64)) / total
-    # values are +-1, so the mean square equals the nonzero fraction
-    variance = nnz / total - mean * mean
-    return EntryStats(
-        zero_fraction=1.0 - nnz / total,
-        mean=mean,
-        variance=variance,
-    )

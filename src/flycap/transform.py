@@ -62,8 +62,6 @@ class Transform:
             rows = np.asarray(rows, dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"rows must form a rectangular array of numbers: {exc}") from None
-        if rows.ndim == 1 and rows.shape[0] == 0:
-            rows = rows.reshape(0, self.config.input_dim)
         if rows.ndim != 2:
             raise ValueError(f"expected a 2-D batch, got shape {rows.shape}")
         if rows.shape[1] != self.config.input_dim:

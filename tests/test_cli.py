@@ -142,6 +142,15 @@ class TestVerifyCommand:
         assert "epsilon must be positive and finite" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    def test_out_without_csv_suffix_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        code = main([
+            "verify", "cap", "--length", "10", "--trials", "5",
+            "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 1
+        assert "must end in .csv" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
 
 class TestTransformCommand:
     def make_input(self, tmp_path, dim=12, rows=8):
@@ -289,7 +298,7 @@ class TestSweepCommand:
             grid=grid,
             synth=SynthSpec(num_classes=3, per_class=8, dim=10),
             repeats=1,
-            split=SplitSpec(train_fraction=0.8, seed=4, stratified=True),
+            split=SplitSpec(train_fraction=0.8, seed=4),
             train=TrainSpec(lambda_=1e-4, epochs=3, seed=4),
             seed=4,
         ))
@@ -329,6 +338,15 @@ class TestSweepCommand:
         assert "would overwrite --dataset" in capsys.readouterr().err
         assert (tmp_path / "synth.csv").read_bytes() == before
         assert os.listdir(tmp_path) == ["synth.csv"]
+
+    def test_out_without_json_suffix_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        code = main([
+            "sweep", "--dataset", "synth", "--grid", "n", "--axis", "8",
+            "--repeats", "1", "--epochs", "1", "--out", str(tmp_path / "s.csv"),
+        ])
+        assert code == 1
+        assert "must end in .json" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_noise_axis_with_several_dims_exits_1(self, tmp_path, capsys):
         code = main([

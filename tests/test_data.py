@@ -48,6 +48,16 @@ class TestCsv:
         with pytest.raises(CsvFormatError, match="unknown label"):
             load_csv(path)
 
+    @pytest.mark.parametrize("text, error", [
+        ("# comment\n# classes=a,a,b\na,1,2\nb,3,4\n", "line 2: repeated class name"),
+        ("# classes=a,b\na,1,2\n# classes=b,a\nb,3,4\n", "line 3: second `# classes=` line"),
+    ])
+    def test_malformed_classes_line_rejected(self, tmp_path, text, error):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(CsvFormatError, match=re.escape(f"{path}: {error}")):
+            load_csv(path)
+
     def test_negative_integer_label_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("-1,1,2\n")
@@ -226,11 +236,6 @@ class TestSplit:
         train, test = split(d, SplitSpec(train_fraction=0.7, seed=3))
         tags = np.concatenate([train.features[:, -1], test.features[:, -1]])
         assert sorted(tags.tolist()) == list(range(d.n_samples))
-
-    def test_unstratified(self):
-        d = synth_blobs(2, 50, 3, 1.0, 0.2, 12)
-        train, test = split(d, SplitSpec(train_fraction=0.5, seed=4, stratified=False))
-        assert train.n_samples == 50 and test.n_samples == 50
 
     def test_degenerate_fraction_rejected(self):
         d = synth_blobs(2, 2, 3, 1.0, 0.2, 13)

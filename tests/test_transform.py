@@ -125,3 +125,5 @@ class TestForwardBatch:
         t = build(small_config())
         with pytest.raises(ValueError):
             t.forward_batch(np.zeros((4, 31)))
+        with pytest.raises(ValueError, match="expected a 2-D batch"):
+            t.forward_batch([])
