@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,11 +145,7 @@ def _map_labels(raw_labels, pinned_names, path):
 
 
 def _is_int(s: str) -> bool:
-    try:
-        int(s)
-        return True
-    except ValueError:
-        return False
+    return re.fullmatch(r"-?[0-9]+", s) is not None
 
 
 def save_csv(d: FeatureDataset, path, invocation: str | None = None) -> None:
@@ -247,17 +244,16 @@ def standardize(
 ) -> tuple[FeatureDataset, FeatureDataset]:
     """Per-feature z-scoring with statistics taken from train only.
 
-    Zero-variance features map to 0 in both sets.
+    Features with zero variance in train are dropped from both sets.
     """
     if train.n_samples == 0:
         raise ValueError("train set is empty")
     means = train.features.mean(axis=0)
     stds = train.features.std(axis=0)
-    safe = np.where(stds == 0.0, 1.0, stds)
-    train_z = (train.features - means) / safe
-    test_z = (test.features - means) / safe
-    train_z[:, stds == 0.0] = 0.0
-    test_z[:, stds == 0.0] = 0.0
+    keep = stds != 0.0
+    means, stds = means[keep], stds[keep]
+    train_z = (train.features[:, keep] - means) / stds
+    test_z = (test.features[:, keep] - means) / stds
     return (
         FeatureDataset(train_z, train.labels.copy(), train.class_names),
         FeatureDataset(test_z, test.labels.copy(), test.class_names),

@@ -140,12 +140,9 @@ def _run_cell(
     shared across grid points of the same repeat so variants are
     compared on identical partitions.
     """
-    if point.noise_sigma > 0.0:
-        noisy = data.add_noise(
-            base, point.noise_sigma, derive_seed(spec.seed, slot, repeat, _TAG_NOISE)
-        )
-    else:
-        noisy = base
+    noisy = data.add_noise(
+        base, point.noise_sigma, derive_seed(spec.seed, slot, repeat, _TAG_NOISE)
+    )
 
     if point.variant == "baseline":
         features = noisy.features

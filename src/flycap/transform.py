@@ -69,9 +69,10 @@ class Transform:
                 f"rows have length {rows.shape[1]}, "
                 f"transform expects {self.config.input_dim}"
             )
-        if rows.shape[0] == 0:
-            return np.empty((0, self.config.output_dim))
-        return np.stack([self.forward(row) for row in rows])
+        out = np.empty((rows.shape[0], self.config.output_dim))
+        for i, row in enumerate(rows):
+            out[i] = self.forward(row)
+        return out
 
 
 def build(config: TransformConfig) -> Transform:

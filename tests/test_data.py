@@ -64,6 +64,16 @@ class TestCsv:
         with pytest.raises(CsvFormatError):
             load_csv(path)
 
+    @pytest.mark.parametrize("label", ["1_0", "+1", "\u0661"])
+    def test_only_ascii_digit_labels_are_ids(self, tmp_path, label):
+        """A label int() would read (`1_0` as 10, `+1`, an Arabic-Indic
+        one) is a name, so every label of its file is a name."""
+        path = tmp_path / "d.csv"
+        path.write_text(f"{label},1,2\n10,3,4\n0,5,6\n")
+        d = load_csv(path)
+        assert d.class_names == [label, "10", "0"]
+        assert list(d.labels) == [0, 1, 2]
+
     def test_no_samples(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("# just a comment\n")
@@ -255,15 +265,17 @@ class TestStandardize:
         np.testing.assert_allclose(train_z.features.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(train_z.features.std(axis=0), 1.0, atol=1e-9)
 
-    def test_constant_feature_maps_to_zero(self):
+    def test_constant_feature_dropped(self):
         train = FeatureDataset(
             np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]]), np.array([0, 1, 0])
         )
         test = FeatureDataset(np.array([[9.0, 7.0]]), np.array([1]))
         assert train.features[:, 1].std() == 0.0
         train_z, test_z = standardize(train, test)
-        assert np.all(train_z.features[:, 1] == 0.0)
-        assert np.all(test_z.features[:, 1] == 0.0)
+        assert train_z.dim == test_z.dim == 1
+        mean, std = train.features[:, 0].mean(), train.features[:, 0].std()
+        assert np.array_equal(train_z.features[:, 0], (train.features[:, 0] - mean) / std)
+        assert np.array_equal(test_z.features[:, 0], (test.features[:, 0] - mean) / std)
 
     def test_test_uses_train_statistics(self):
         """The test set is shifted and scaled by train moments, not its

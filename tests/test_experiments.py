@@ -127,6 +127,32 @@ class TestRunSweep:
         with pytest.raises(FileNotFoundError):
             run_sweep(missing)
 
+    def test_seeded_k_sweep_regression(self):
+        """Pinned seeded results of a small k sweep. Many of its cells
+        have features that are constant in train (zero matrix rows, or
+        coordinates the cap zeroes in every row), which standardize drops."""
+        spec = SweepSpec(
+            grid=preset_grid("k", (0, 1, 2, 4, 8), p=0.05, k=0, n_fixed=(16, 64)),
+            synth=SynthSpec(num_classes=3, per_class=8, dim=10),
+            repeats=3,
+        )
+        report = run_sweep(spec)
+        assert (report.baseline["acc_mean"], report.baseline["acc_std"]) == (1.0, 0.0)
+        expected = [
+            (16, 0, 0.3333333333333333, 0.0, 0.0),
+            (64, 0, 0.3333333333333333, 0.0, 0.0),
+            (16, 1, 0.7222222222222222, 0.20786985482077452, 0.0625),
+            (64, 1, 0.6666666666666666, 0.13608276348795434, 0.015625),
+            (16, 2, 0.8888888888888888, 0.15713484026367724, 0.125),
+            (64, 2, 0.7777777777777778, 0.07856742013183865, 0.03125),
+            (16, 4, 0.7222222222222223, 0.15713484026367724, 0.25),
+            (64, 4, 0.8888888888888888, 0.15713484026367724, 0.0625),
+            (16, 8, 0.9444444444444445, 0.0785674201318386, 0.4791666666666667),
+            (64, 8, 1.0, 0.0, 0.125),
+        ]
+        keys = ("n", "k", "acc_mean", "acc_std", "sparsity")
+        assert [tuple(rec[key] for key in keys) for rec in report.records] == expected
+
     def test_oversized_k_is_clamped_to_n(self):
         report = run_sweep(
             tiny_spec([GridPoint(variant="cap", p=0.1, n=4, k=100)], repeats=1)

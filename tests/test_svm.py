@@ -145,3 +145,38 @@ class TestEvaluate:
         empty = FeatureDataset(np.empty((0, 3)), np.empty(0, dtype=int))
         with pytest.raises(ValueError):
             evaluate(np.zeros((2, 4)), empty)
+
+
+
+class TestConstantFeatures:
+    """standardize drops features that are constant in train. The
+    reference is the zero column such a feature used to become."""
+
+    def test_zero_columns_stay_zero_and_change_nothing(self):
+        d = synth_blobs(3, 20, 20, 1.0, 0.3, 19)
+        at = np.sort(np.random.default_rng(20).choice(30, 20, replace=False))
+        padded = np.zeros((d.n_samples, 30))
+        padded[:, at] = d.features
+        spec = TrainSpec(lambda_=1e-3, epochs=5, seed=21)
+        dropped = train(d, spec)
+        weights = train(FeatureDataset(padded, d.labels), spec)
+        zero = np.setdiff1d(np.arange(30), at)
+        assert np.all(weights[:, zero] == 0.0) and not np.any(np.signbit(weights[:, zero]))
+        kept = weights[:, np.append(at, 30)]
+        np.testing.assert_allclose(kept, dropped, rtol=1e-12, atol=0.0)
+
+    def test_all_columns_constant_is_bit_identical(self):
+        labels = np.repeat(np.arange(4), 10)
+        bias_only = FeatureDataset(np.empty((40, 0)), labels)
+        padded = FeatureDataset(np.zeros((40, 5)), labels)
+        spec = TrainSpec(lambda_=1e-3, epochs=5, seed=23)
+        dropped = train(bias_only, spec)
+        weights = train(padded, spec)
+        assert dropped.shape == (4, 1)
+        assert np.array_equal(weights[:, -1:], dropped)
+        assert np.all(weights[:, :-1] == 0.0) and not np.any(np.signbit(weights[:, :-1]))
+        assert evaluate(dropped, bias_only) == evaluate(weights, padded)
+
+    def test_predict_on_width_zero_features_takes_the_bias(self):
+        weights = np.array([[0.5], [2.0], [-1.0]])
+        assert predict_batch(weights, np.empty((4, 0))).tolist() == [1, 1, 1, 1]
