@@ -8,7 +8,6 @@ strings; string labels are mapped to ids in first-seen order unless a
 
 from __future__ import annotations
 
-import hashlib
 import math
 import re
 from dataclasses import dataclass
@@ -193,22 +192,16 @@ def synth_blobs(
 def add_noise(d: FeatureDataset, sigma: float, seed: int) -> FeatureDataset:
     """Add independent N(0, sigma^2) to every entry; labels unchanged.
 
-    Each row's noise stream is derived from (seed, digest of the row's
-    bytes), so the same sample receives the same noise no matter how the
-    dataset has been reordered or split; this is what makes noise
-    injection commute with splitting.
+    One Gaussian matrix is drawn per call from the seed's stream, row by
+    row in dataset order, so every sample gets its own noise, repeated
+    rows included. sigma = 0 draws nothing and returns a copy.
     """
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     seed = check_seed(seed)
     if sigma == 0.0:
         return FeatureDataset(d.features.copy(), d.labels.copy(), d.class_names)
-    noisy = np.empty_like(d.features)
-    for i, row in enumerate(d.features):
-        digest = hashlib.blake2b(row.tobytes(), digest_size=8).digest()
-        row_key = int.from_bytes(digest, "little")
-        rng = derive_rng(seed, row_key)
-        noisy[i] = row + rng.standard_normal(d.dim) * sigma
+    noisy = d.features + derive_rng(seed).standard_normal(d.features.shape) * sigma
     return FeatureDataset(noisy, d.labels.copy(), d.class_names)
 
 

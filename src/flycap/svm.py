@@ -77,16 +77,14 @@ def train(d: FeatureDataset, spec: TrainSpec) -> np.ndarray:
             t += 1
             eta = 1.0 / (lam * t)
             xi = x[i]
+            y = targets[:, i]
             # fixed-order reduction keeps scores thread-independent
             scores = (weights * xi).sum(axis=1)
-            active = targets[:, i] * scores < 1.0
             weights *= 1.0 - eta * lam
-            if np.any(active):
-                weights[active] += (eta * targets[active, i])[:, None] * xi
+            # an inactive class adds +-0.0; one inside the ball scales by 1.0
+            weights += np.where(y * scores < 1.0, eta * y, 0.0)[:, None] * xi
             norms = np.sqrt((weights * weights).sum(axis=1))
-            over = norms > radius
-            if np.any(over):
-                weights[over] *= radius / norms[over][:, None]
+            weights *= (radius / np.maximum(norms, radius))[:, None]
             averaged += (weights - averaged) / t
     return averaged
 

@@ -251,9 +251,10 @@ def det_bound_incidence(cfg: McConfig, m: int, epsilon: float) -> SuiteResult:
     """Fraction of trials whose log|det| clears the closed-form threshold.
 
     log|det| comes from LU with partial pivoting in double precision
-    (log-domain accumulation); exactly singular samples count as below
-    threshold. There is no hard pass criterion; the fraction is meant
-    to be locked as a seeded regression value.
+    (log-domain accumulation). Float LU can leave a tiny pivot on an
+    exactly singular sample, so a clearing sample counts only once
+    `rank.is_invertible` proves it nonsingular. There is no hard pass
+    criterion; the fraction is locked as a seeded regression value.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
@@ -263,7 +264,7 @@ def det_bound_incidence(cfg: McConfig, m: int, epsilon: float) -> SuiteResult:
         rng = derive_rng(cfg.seed, _TAG_DET, m, trial)
         a = sample_square_sign_matrix(rng, m, cfg.p)
         sign, logdet = np.linalg.slogdet(a.astype(np.float64))
-        if sign != 0 and logdet >= threshold:
+        if sign != 0 and logdet >= threshold and rank.is_invertible(a):
             above += 1
     estimate = above / cfg.trials
     record = {

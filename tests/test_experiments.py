@@ -192,6 +192,21 @@ class TestRunSweep:
             by_sigma.setdefault(row["noise"], []).append(row["variant"])
         assert all(len(v) == 3 for v in by_sigma.values())
 
+    def test_noise_reaches_repeated_rows(self):
+        """On a noiseless blob set every class is one repeated row. Noise
+        drawn per sample makes the baseline fall below 1.0 at a large
+        sigma; noise shared by equal rows would leave it at 1.0."""
+        spec = tiny_spec(
+            [GridPoint(variant="baseline", noise_sigma=s) for s in (0.0, 8.0)],
+            synth=SynthSpec(
+                num_classes=5, per_class=20, dim=10, center_scale=1.5,
+                noise_sigma=0.0, seed=7,
+            ),
+        )
+        clean, noisy = run_sweep(spec).records
+        assert clean["acc_mean"] == 1.0
+        assert noisy["acc_mean"] < 1.0
+
 
 class TestPresetGrid:
     def test_noise_presets(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from flycap.data import FeatureDataset, SplitSpec, split, synth_blobs
+from flycap.seeding import derive_rng
 from flycap.svm import TrainSpec, evaluate, predict_batch, train
 
 
@@ -180,3 +181,64 @@ class TestConstantFeatures:
     def test_predict_on_width_zero_features_takes_the_bias(self):
         weights = np.array([[0.5], [2.0], [-1.0]])
         assert predict_batch(weights, np.empty((4, 0))).tolist() == [1, 1, 1, 1]
+
+
+def masked_reference(d, spec):
+    """`train` with a per-class masked Pegasos step, as the reference for
+    its dense one. Returns the averaged weights and, over all steps, how
+    many had some but not all classes active, and how many projected or
+    skipped the projection for some class."""
+    order = np.lexsort((d.labels,) + tuple(d.features[:, ::-1].T))
+    x = np.hstack([d.features[order], np.ones((d.n_samples, 1))])
+    labels = d.labels[order]
+    targets = np.where(labels[None, :] == np.arange(d.num_classes)[:, None], 1.0, -1.0)
+    lam = spec.lambda_
+    radius = 1.0 / np.sqrt(lam)
+    weights = np.zeros((d.num_classes, d.dim + 1))
+    averaged = np.zeros_like(weights)
+    partial = projected = kept = 0
+    rng = derive_rng(spec.seed)
+    t = 0
+    for _ in range(spec.epochs):
+        for i in rng.permutation(d.n_samples):
+            t += 1
+            eta = 1.0 / (lam * t)
+            xi = x[i]
+            scores = (weights * xi).sum(axis=1)
+            active = targets[:, i] * scores < 1.0
+            partial += bool(active.any() and not active.all())
+            weights *= 1.0 - eta * lam
+            if np.any(active):
+                weights[active] += (eta * targets[active, i])[:, None] * xi
+            norms = np.sqrt((weights * weights).sum(axis=1))
+            over = norms > radius
+            projected += bool(over.any())
+            kept += bool(not over.all())
+            if np.any(over):
+                weights[over] *= radius / norms[over][:, None]
+            averaged += (weights - averaged) / t
+    return averaged, partial, projected, kept
+
+
+class TestDenseStep:
+    """One dense update for every class gives the masked step's weights
+    bit for bit: an inactive class adds +-0.0, and a class inside the
+    ball is scaled by radius / radius == 1.0."""
+
+    @pytest.mark.parametrize(
+        "d, spec",
+        [
+            (synth_blobs(4, 15, 12, 1.0, 0.5, 31), TrainSpec(lambda_=1e-2, epochs=3, seed=32)),
+            (synth_blobs(3, 20, 40, 2.0, 0.3, 33), TrainSpec(lambda_=1e-4, epochs=2, seed=34)),
+            (
+                FeatureDataset(np.empty((30, 0)), np.repeat(np.arange(3), 10)),
+                TrainSpec(lambda_=0.5, epochs=4, seed=35),
+            ),
+        ],
+        ids=["small_ball", "large_ball", "width_zero"],
+    )
+    def test_bit_identical_to_masked_step(self, d, spec):
+        reference, partial, projected, kept = masked_reference(d, spec)
+        assert partial > 0 and projected > 0 and kept > 0
+        weights = train(d, spec)
+        assert np.array_equal(weights.view(np.uint64), reference.view(np.uint64))

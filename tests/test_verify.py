@@ -199,6 +199,26 @@ class TestDetBoundIncidence:
         rec = det_bound_incidence(cfg, m=2, epsilon=0.1).records[0]
         assert rec["estimate"] <= 0.05
 
+    def test_singular_draws_never_clear_a_low_threshold(self):
+        """A nonsingular integer matrix has log|det| >= 0, above a
+        threshold far below 0, so the incidence is the fraction of the
+        suite's draws that are exactly invertible. Float LU leaves a tiny
+        pivot on some singular draws; those must not count."""
+        from flycap.rank import is_invertible
+        from flycap.seeding import derive_rng
+        from flycap.verify import _TAG_DET
+
+        cfg, m = McConfig(trials=300, seed=5, p=0.1), 20
+        rec = det_bound_incidence(cfg, m=m, epsilon=1.0).records[0]
+        assert rec["bound"] < -80.0
+        invertible = sum(
+            is_invertible(
+                sample_square_sign_matrix(derive_rng(cfg.seed, _TAG_DET, m, t), m, cfg.p)
+            )
+            for t in range(cfg.trials)
+        )
+        assert rec["estimate"] == invertible / cfg.trials
+
     def test_seeded_regression_value(self):
         """First run locked: m=16, p=0.3, eps=0.1, 200 trials, seed 42."""
         cfg = McConfig(trials=200, seed=42, p=0.3)
