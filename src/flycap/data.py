@@ -235,19 +235,18 @@ def split(d: FeatureDataset, spec: SplitSpec) -> tuple[FeatureDataset, FeatureDa
 def standardize(
     train: FeatureDataset, test: FeatureDataset
 ) -> tuple[FeatureDataset, FeatureDataset]:
-    """Per-feature z-scoring with statistics taken from train only.
+    """Per-feature scaling by the train standard deviation.
 
     Features with zero variance in train are dropped from both sets.
+    Nothing is centred, so zeros stay zeros: `svm.train` centres
+    implicitly on its own train means.
     """
     if train.n_samples == 0:
         raise ValueError("train set is empty")
-    means = train.features.mean(axis=0)
     stds = train.features.std(axis=0)
     keep = stds != 0.0
-    means, stds = means[keep], stds[keep]
-    train_z = (train.features[:, keep] - means) / stds
-    test_z = (test.features[:, keep] - means) / stds
+    stds = stds[keep]
     return (
-        FeatureDataset(train_z, train.labels.copy(), train.class_names),
-        FeatureDataset(test_z, test.labels.copy(), test.class_names),
+        FeatureDataset(train.features[:, keep] / stds, train.labels.copy(), train.class_names),
+        FeatureDataset(test.features[:, keep] / stds, test.labels.copy(), test.class_names),
     )

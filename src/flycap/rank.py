@@ -7,7 +7,9 @@
    so every partial sum of X @ a is an integer below 2^53 and the float64
    product is exact in any order. If E = s*I - X @ a has every absolute
    row sum below s (in int64), ||I - (X/s) a||_inf < 1.
-3. Otherwise the exact fraction-free big-integer determinant decides.
+3. Two rows, or two columns, equal up to sign prove singular (about half
+   of the singular sign matrices with no zero line).
+4. Otherwise the exact fraction-free big-integer determinant decides.
 """
 
 from __future__ import annotations
@@ -45,6 +47,14 @@ def _certified_invertible(a: np.ndarray) -> bool:
     return bool(np.minimum(np.abs(resid), s).sum(axis=1).max() < s)
 
 
+def _has_signed_twin_rows(a: np.ndarray) -> bool:
+    """True proves two rows of a (none of them zero) equal up to sign."""
+    lead = np.sign(a[np.arange(a.shape[0]), (a != 0).argmax(axis=1)])
+    # |x| and sign(x) * lead never overflow, and |x| == |y| iff x == +-y
+    key = np.hstack([np.abs(a), np.sign(a) * lead[:, None]])
+    return np.unique(key, axis=0).shape[0] < a.shape[0]
+
+
 def det_exact(a: np.ndarray) -> int:
     """Exact integer determinant by Bareiss fraction-free elimination."""
     mat = [[int(v) for v in row] for row in np.asarray(a)]
@@ -77,4 +87,8 @@ def is_invertible(a: np.ndarray) -> bool:
         raise ValueError(f"expected an integer matrix, got dtype {a.dtype}")
     if not (a.any(axis=0).all() and a.any(axis=1).all()):
         return False
-    return _certified_invertible(a) or det_exact(a) != 0
+    if _certified_invertible(a):
+        return True
+    if _has_signed_twin_rows(a) or _has_signed_twin_rows(a.T):
+        return False
+    return det_exact(a) != 0

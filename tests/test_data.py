@@ -249,11 +249,19 @@ class TestSplit:
 
 class TestStandardize:
     def test_train_statistics(self):
+        """Train columns get unit std and keep their own mean over std:
+        nothing is centred, so zeros stay zeros."""
         d = synth_blobs(3, 50, 6, 1.0, 0.5, 14)
+        d.features[::3, 2] = 0.0
         train, test = split(d, SplitSpec(train_fraction=0.8, seed=6))
         train_z, _ = standardize(train, test)
-        np.testing.assert_allclose(train_z.features.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(train_z.features.std(axis=0), 1.0, atol=1e-9)
+        np.testing.assert_allclose(
+            train_z.features.mean(axis=0),
+            train.features.mean(axis=0) / train.features.std(axis=0),
+            rtol=1e-12,
+        )
+        assert np.array_equal(train_z.features == 0.0, train.features == 0.0)
 
     def test_constant_feature_dropped(self):
         train = FeatureDataset(
@@ -263,22 +271,19 @@ class TestStandardize:
         assert train.features[:, 1].std() == 0.0
         train_z, test_z = standardize(train, test)
         assert train_z.dim == test_z.dim == 1
-        mean, std = train.features[:, 0].mean(), train.features[:, 0].std()
-        assert np.array_equal(train_z.features[:, 0], (train.features[:, 0] - mean) / std)
-        assert np.array_equal(test_z.features[:, 0], (test.features[:, 0] - mean) / std)
+        std = train.features[:, 0].std()
+        assert np.array_equal(train_z.features[:, 0], train.features[:, 0] / std)
+        assert np.array_equal(test_z.features[:, 0], test.features[:, 0] / std)
 
     def test_test_uses_train_statistics(self):
-        """The test set is shifted and scaled by train moments, not its
-        own."""
+        """The test set is scaled by the train std, not its own."""
         rng = np.random.default_rng(15)
-        train = FeatureDataset(rng.standard_normal((40, 3)) + 5.0, rng.integers(0, 2, 40))
-        test = FeatureDataset(rng.standard_normal((10, 3)) - 5.0, rng.integers(0, 2, 10))
+        train = FeatureDataset(rng.standard_normal((40, 3)) * 4.0, rng.integers(0, 2, 40))
+        test = FeatureDataset(rng.standard_normal((10, 3)) * 0.25, rng.integers(0, 2, 10))
         _, test_z = standardize(train, test)
-        means = train.features.mean(axis=0)
-        stds = train.features.std(axis=0)
-        expected = (test.features - means) / stds
-        np.testing.assert_allclose(test_z.features, expected, atol=1e-12)
-        assert abs(test_z.features.mean()) > 1.0  # far from centered on itself
+        expected = test.features / train.features.std(axis=0)
+        assert np.array_equal(test_z.features, expected)
+        assert test_z.features.std() < 0.2  # far from unit std on itself
 
     def test_empty_train_rejected(self):
         empty = FeatureDataset(np.empty((0, 3)), np.empty(0, dtype=int))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import flycap.rank as rank
-from flycap.rank import _certified_invertible, det_exact, is_invertible
+from flycap.rank import _certified_invertible, _has_signed_twin_rows, det_exact, is_invertible
 from flycap.seeding import derive_rng
 from flycap.verify import _TAG_INVERT, sample_square_sign_matrix
 
@@ -80,12 +80,22 @@ class TestIsInvertible:
         assert is_invertible(np.diag([2147483647] * 2))
 
     def test_singular_without_zero_row_or_column(self, monkeypatch):
-        """Rows equal up to sign leave no zero row or column, so the
-        singular verdict comes from the exact determinant."""
+        """Two rows, or two columns, equal up to sign leave no zero line
+        but prove singular without the exact determinant; a row that is
+        the sum of two others still needs it."""
         calls = counted_det_exact(monkeypatch)
-        a = np.array([[1, -1, 1], [-1, 1, -1], [0, 1, 1]])
-        assert not is_invertible(a)
+        assert not is_invertible(np.array([[1, -1, 1], [-1, 1, -1], [0, 1, 1]]))
+        assert not is_invertible(np.array([[1, -1, 0], [1, -1, 1], [0, 0, 1]]))
+        assert calls == []
+        assert not is_invertible(np.array([[1, 0, 1], [0, 1, 1], [1, 1, 2]]))
         assert len(calls) == 1
+
+    def test_signed_twins_at_the_dtype_minimum(self):
+        """-(-128) wraps to -128 in int8; the twin test never negates."""
+        a = np.array([[1, -128], [-1, -128]], dtype=np.int8)
+        assert not _has_signed_twin_rows(a)
+        assert _has_signed_twin_rows(np.array([[-128, 1], [-128, 1]], dtype=np.int8))
+        assert _has_signed_twin_rows(np.array([[-1, 127], [1, -127]], dtype=np.int8))
 
     @pytest.mark.parametrize("kind", ["duplicate_row", "negated_row", "column_sum"])
     @pytest.mark.parametrize("p", [0.02, 0.1, 0.5])
