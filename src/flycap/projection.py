@@ -4,20 +4,36 @@ The projection matrix has independent entries taking the value +1 or -1
 each with probability p(1-p) and 0 otherwise, which is exactly the
 distribution of the difference of two independent Bernoulli(p) draws.
 Entries have mean zero and variance 2p(1-p). Only nonzeros are stored,
-as row/column/value triplets in row-major order.
+as row/column/value triplets in row-major order. Products run over a
+jagged-diagonal layout derived from the triplets (Saad, SIAM J. Sci.
+Stat. Comput. 1989): diagonal j holds the j-th entry of every row that
+has one, so a product is a few contiguous passes instead of one
+scattered pass over all nonzeros.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .seeding import check_seed
 
-_MAX_POSITIONS = np.iinfo(np.int64).max
+# the int32 index holds a column c or c + n_cols, and a row id
+_MAX_COLS = 2**30
+_MAX_ROWS = 2**31 - 1
 # uniforms drawn per block of rows, so sampling memory follows the output
 _BLOCK_POSITIONS = 2**20
+
+
+def _check_shape(n_rows: int, n_cols: int) -> None:
+    if n_rows < 1 or n_cols < 1:
+        raise ValueError(f"dimensions must be positive, got {n_rows}x{n_cols}")
+    if n_rows > _MAX_ROWS or n_cols > _MAX_COLS:
+        raise ValueError(
+            f"{n_rows}x{n_cols} overflows the int32 index "
+            f"(at most {_MAX_ROWS} rows and {_MAX_COLS} columns)"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,17 +42,46 @@ class SparseSignMatrix:
 
     Rebuilding with identical (n_rows, n_cols, p, seed) reproduces
     bit-identical storage: row i is drawn from its own counter-derived
-    stream, so generation order cannot change the result. Fields cannot
-    be reassigned and no function of this module writes into the arrays,
-    so threads may share one matrix.
+    stream, so generation order cannot change the result. Construction
+    derives the jagged-diagonal layout that `apply` runs over:
+    ``order`` lists the rows by nonzero count, longest first and
+    stable, and ``diagonals[j]`` holds, for the leading rows of that
+    order which have a j-th entry, its signed column (c for +1,
+    c + n_cols for -1) as int32. Fields cannot be reassigned and no
+    function of this module writes into the arrays, so threads may
+    share one matrix.
     """
 
     n_rows: int
     n_cols: int
     p: float
-    rows: np.ndarray  # int64 row index per stored entry, nondecreasing
-    indices: np.ndarray  # int64 column index per stored entry, sorted per row
+    rows: np.ndarray  # int32 row index per stored entry, nondecreasing
+    indices: np.ndarray  # int32 column index per stored entry, sorted per row
     values: np.ndarray  # int8, each exactly -1 or +1
+    order: np.ndarray = field(init=False, repr=False)
+    diagonals: tuple[np.ndarray, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        _check_shape(self.n_rows, self.n_cols)
+        # bincount copies its input to int64, so count a block at a time
+        counts = np.zeros(self.n_rows, dtype=np.int64)
+        for start in range(0, self.nnz, _BLOCK_POSITIONS):
+            counts += np.bincount(
+                self.rows[start : start + _BLOCK_POSITIONS], minlength=self.n_rows
+            )
+        top = counts.max(initial=0)
+        # a stable sort of keys of 16 bits or fewer is a radix sort
+        order = np.argsort((top - counts).astype(np.min_scalar_type(top)), kind="stable")
+        starts = (np.cumsum(counts) - counts)[order]
+        signed = (self.values < 0) * np.int32(self.n_cols)
+        signed += self.indices
+        # diagonal j covers the rows with more than j entries, a prefix of order
+        lengths = self.n_rows - np.cumsum(np.bincount(counts))[:-1]
+        diagonals = tuple(
+            signed.take(starts[:length] + j) for j, length in enumerate(lengths.tolist())
+        )
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "diagonals", diagonals)
 
     @property
     def nnz(self) -> int:
@@ -57,8 +102,9 @@ def sign_entries(u: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray, np.nd
     order, values as int8.
     """
     q = p * (1.0 - p)
-    rows, cols = np.nonzero(u < 2.0 * q)
-    return rows, cols, np.where(u[rows, cols] < q, 1, -1).astype(np.int8)
+    flat = np.flatnonzero(u < 2.0 * q)
+    rows, cols = np.divmod(flat, u.shape[1])
+    return rows, cols, np.where(u.take(flat) < q, 1, -1).astype(np.int8)
 
 
 def sample_matrix(n_rows: int, n_cols: int, p: float, seed: int) -> SparseSignMatrix:
@@ -71,12 +117,9 @@ def sample_matrix(n_rows: int, n_cols: int, p: float, seed: int) -> SparseSignMa
     counter-based stream keyed by (seed, i), so the output is a pure
     function of (n_rows, n_cols, p, seed).
     """
-    if n_rows < 1 or n_cols < 1:
-        raise ValueError(f"dimensions must be positive, got {n_rows}x{n_cols}")
+    _check_shape(n_rows, n_cols)
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
-    if n_rows * n_cols > _MAX_POSITIONS:
-        raise ValueError(f"{n_rows}x{n_cols} overflows the index type")
     seed = check_seed(seed)
 
     # Row i's stream is Philox keyed by (seed, i) with the counter at
@@ -99,31 +142,37 @@ def sample_matrix(n_rows: int, n_cols: int, p: float, seed: int) -> SparseSignMa
             gen.random(out=row)
         local_rows, block_cols, block_values = sign_entries(block, p)
         counts.append(np.bincount(local_rows, minlength=block.shape[0]))
-        cols.append(block_cols)
+        cols.append(block_cols.astype(np.int32))
         values.append(block_values)
-    cols = np.concatenate(cols)
-    rows = np.repeat(np.arange(n_rows), np.concatenate(counts))
-    return SparseSignMatrix(
-        n_rows, n_cols, p, rows,
-        cols.astype(np.int64, copy=False), np.concatenate(values),
-    )
+    del u  # not held while the layout is built
+    rows = np.repeat(np.arange(n_rows, dtype=np.int32), np.concatenate(counts))
+    cols, values = np.concatenate(cols), np.concatenate(values)
+    return SparseSignMatrix(n_rows, n_cols, p, rows, cols, values)
 
 
 def apply(m: SparseSignMatrix, x: np.ndarray) -> np.ndarray:
-    """Sparse product M @ x as a float64 sum in a fixed order.
+    """Sparse product M @ x of one vector or a (rows x n_cols) block.
 
-    Each output entry adds its row's signed terms in column order, so
-    the result is rounded like any float64 sum but reproducible
-    bit-for-bit, independent of thread configuration.
+    A vector gives an n_rows vector and a block a (rows x n_rows)
+    array. Each output entry starts at 0.0 and adds its row's signed
+    terms in column order, one jagged diagonal at a time, so the result
+    is rounded like any float64 sum but reproducible bit-for-bit,
+    independent of thread configuration, and a row gives the same bits
+    alone as inside a block.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != m.n_cols:
-        raise ValueError(f"expected a vector of length {m.n_cols}, got shape {x.shape}")
+    if x.ndim not in (1, 2) or x.shape[-1] != m.n_cols:
+        raise ValueError(
+            f"expected a vector or rows of length {m.n_cols}, got shape {x.shape}"
+        )
     if not np.all(np.isfinite(x)):
-        raise ValueError("input vector has non-finite entries")
-    if m.nnz == 0:
-        return np.zeros(m.n_rows)
-    contrib = x[m.indices]
-    contrib *= m.values
-    return np.bincount(m.rows, weights=contrib, minlength=m.n_rows)
-
+        raise ValueError("input has non-finite entries")
+    xt = x.T
+    # row c of both is +x_c and row c + n_cols is -x_c, each contiguous
+    both = np.ascontiguousarray(np.concatenate((xt, -xt)))
+    acc = np.zeros((m.n_rows,) + xt.shape[1:])
+    for diagonal in m.diagonals:
+        acc[: diagonal.shape[0]] += both.take(diagonal, axis=0)
+    out = np.empty(x.shape[:-1] + (m.n_rows,))
+    out.T[m.order] = acc
+    return out

@@ -16,6 +16,9 @@ from . import projection
 from .cap import cap
 from .seeding import check_seed
 
+# projected entries per apply call in forward_batch, so a block stays in cache
+_BLOCK_OUTPUTS = 2**16
+
 
 @dataclass(frozen=True)
 class TransformConfig:
@@ -49,14 +52,21 @@ class Transform:
     matrix: projection.SparseSignMatrix
 
     def forward(self, s: np.ndarray) -> np.ndarray:
-        """Project s and keep the cap_k largest-magnitude coordinates."""
+        """Project s and keep the cap_k largest-magnitude coordinates.
+
+        With cap_k == 0 the input is only checked: the result is zero.
+        """
+        if self.config.cap_k == 0:
+            return self.forward_batch([s])[0]
         return cap(projection.apply(self.matrix, s), self.config.cap_k)
 
     def forward_batch(self, rows) -> np.ndarray:
         """Row-wise forward; preserves row order.
 
-        Every row goes through the exact single-vector path, so a batch
-        equals the per-row loop bit-for-bit.
+        Rows are projected in blocks and capped one by one. `apply` sums
+        each row of a block exactly as it sums a single vector, so a batch
+        equals the per-row loop bit-for-bit. With cap_k == 0 the rows are
+        only checked and no product is made.
         """
         try:
             rows = np.asarray(rows, dtype=np.float64)
@@ -69,9 +79,16 @@ class Transform:
                 f"rows have length {rows.shape[1]}, "
                 f"transform expects {self.config.input_dim}"
             )
-        out = np.empty((rows.shape[0], self.config.output_dim))
-        for i, row in enumerate(rows):
-            out[i] = self.forward(row)
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("rows have non-finite entries")
+        out = np.zeros((rows.shape[0], self.config.output_dim))
+        if self.config.cap_k == 0:
+            return out
+        block = max(1, _BLOCK_OUTPUTS // self.config.output_dim)
+        for start in range(0, rows.shape[0], block):
+            projected = projection.apply(self.matrix, rows[start : start + block])
+            for i, row in enumerate(projected, start):
+                out[i] = cap(row, self.config.cap_k)
         return out
 
 

@@ -21,8 +21,8 @@ def empty_matrix(n_rows=3, n_cols=4):
         n_rows,
         n_cols,
         0.05,
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
+        np.empty(0, dtype=np.int32),
+        np.empty(0, dtype=np.int32),
         np.empty(0, dtype=np.int8),
     )
 
@@ -36,8 +36,8 @@ def explicit_matrix(rows):
         n_rows,
         n_cols,
         0.5,
-        nz_rows.astype(np.int64),
-        nz_cols.astype(np.int64),
+        nz_rows.astype(np.int32),
+        nz_cols.astype(np.int32),
         dense[nz_rows, nz_cols].astype(np.int8),
     )
 
@@ -55,6 +55,17 @@ class TestSampling:
             sample_matrix(3, 3, 0.1, -1)
         with pytest.raises(ValueError):
             sample_matrix(2**40, 2**40, 0.1, 1)
+
+    def test_int32_index_bounds(self):
+        """Shapes the int32 index cannot address are refused before any
+        allocation; the signed column c + n_cols must stay below 2**31."""
+        with pytest.raises(ValueError, match="int32"):
+            sample_matrix(1, 2**30 + 1, 0.05, 0)
+        with pytest.raises(ValueError, match="int32"):
+            sample_matrix(2**31, 1, 0.05, 0)
+        for n_rows, n_cols in ((1, 2**30 + 1), (2**31, 1)):
+            with pytest.raises(ValueError, match="int32"):
+                empty_matrix(n_rows, n_cols)
 
     def test_deterministic_regeneration(self):
         a = sample_matrix(50, 40, 0.1, 123)
@@ -108,6 +119,7 @@ class TestSampling:
         n_rows, n_cols, p, seed = 80, 61, 0.3, 5
         m = sample_matrix(n_rows, n_cols, p, seed)
         assert m.rows.shape == m.indices.shape == m.values.shape
+        assert m.rows.dtype == m.indices.dtype == np.int32
         assert set(np.unique(m.values)) <= {-1, 1}
         assert np.all(np.diff(m.rows) >= 0)
         assert m.rows[0] >= 0 and m.rows[-1] < n_rows
@@ -120,6 +132,16 @@ class TestSampling:
             cols = m.indices[m.rows == r]
             assert np.all(np.diff(cols) > 0)
             assert cols.size == 0 or cols.max() < n_cols
+
+    def test_jagged_diagonal_layout(self):
+        """order sorts rows by nonzero count, longest first and stable;
+        diagonal j holds the signed column of entry j of each of the
+        leading rows that has one."""
+        m = explicit_matrix([[0, 0, 0], [1, 0, -1], [0, -1, 0], [1, 1, 1], [0, 0, 1]])
+        assert m.order.tolist() == [3, 1, 2, 4, 0]
+        assert [d.tolist() for d in m.diagonals] == [[0, 0, 4, 2], [1, 5], [2]]
+        assert all(d.dtype == np.int32 for d in m.diagonals)
+        assert empty_matrix().diagonals == ()
 
     def test_frozen(self):
         m = sample_matrix(5, 4, 0.2, 1)
@@ -161,7 +183,6 @@ class TestApply:
         assert np.array_equal(apply(m, [2.0, 3.0]), [2.0, 1.0])
 
     def test_no_nonzeros_gives_float_zeros(self):
-        # np.bincount over no indices returns int64 even with weights
         out = apply(empty_matrix(), np.ones(4))
         assert out.dtype == np.float64
         assert np.array_equal(out, np.zeros(3))
@@ -216,3 +237,65 @@ class TestApply:
             apply(m, np.zeros(6))
         with pytest.raises(ValueError):
             apply(m, np.array([1.0, np.nan, 0.0, 0.0, 0.0]))
+        with pytest.raises(ValueError):
+            apply(m, np.zeros((2, 6)))
+        with pytest.raises(ValueError):
+            apply(m, np.zeros((1, 2, 5)))
+        with pytest.raises(ValueError):
+            apply(m, np.array([[0.0] * 5, [0.0, 0.0, np.inf, 0.0, 0.0]]))
+
+
+def bincount_product(m, x):
+    """The former product: one bincount over the triplets, adding each
+    row's terms in storage (column) order from 0.0."""
+    return np.bincount(m.rows, weights=x[m.indices] * m.values, minlength=m.n_rows)
+
+
+def ordered_dense_product(m, x):
+    """Dense oracle summed in the same order: 0.0, then each nonzero
+    term of the row from the lowest column up."""
+    dense = m.to_dense()
+    out = np.zeros(m.n_rows)
+    for r in range(m.n_rows):
+        total = 0.0
+        for c in np.flatnonzero(dense[r]):
+            total += dense[r, c] * x[c]
+        out[r] = total
+    return out
+
+
+BLOCK_CASES = {
+    "empty_rows": explicit_matrix(
+        [[0, 0, 0, 0], [1, -1, 0, 1], [0, 0, 0, 0], [0, 1, 0, 0], [-1, 0, 1, 1]]
+    ),
+    "all_zero": empty_matrix(5, 4),
+    "one_row": sample_matrix(1, 40, 0.3, 8),
+    "one_col": sample_matrix(40, 1, 0.3, 8),
+    "one_by_one": explicit_matrix([[-1]]),
+    "sampled": sample_matrix(300, 70, 0.1, 9),
+}
+
+
+class TestBlockApply:
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    @pytest.mark.parametrize("n_block", [0, 1, 7])
+    def test_block_equals_rows_and_oracles(self, case, n_block):
+        """A block, each row alone, the former bincount and the ordered
+        dense oracle agree bit for bit, zeros and signed zeros included."""
+        m = BLOCK_CASES[case]
+        rng = np.random.default_rng(n_block)
+        block = rng.standard_normal((n_block, m.n_cols))
+        block[:, ::3] = 0.0
+        block[:, 1::5] = -0.0
+        got = apply(m, block)
+        assert got.shape == (n_block, m.n_rows) and got.flags.c_contiguous
+        for row, out in zip(block, got):
+            alone = apply(m, row)
+            assert alone.tobytes() == out.tobytes()
+            assert bincount_product(m, row).tobytes() == out.tobytes()
+            assert ordered_dense_product(m, row).tobytes() == out.tobytes()
+
+    def test_negative_zero_terms_sum_to_positive_zero(self):
+        m = explicit_matrix([[-1, 0], [1, 1]])
+        out = apply(m, np.array([0.0, -0.0]))
+        assert np.signbit(out).tolist() == [False, False]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from flycap import projection
 from flycap.projection import apply, sample_matrix
 from flycap.transform import Transform, TransformConfig, build
 
@@ -47,6 +48,26 @@ class TestForward:
         t = build(small_config(cap_k=0))
         out = t.forward(np.random.default_rng(0).standard_normal(30))
         assert np.array_equal(out, np.zeros(120))
+
+    def test_cap_zero_checks_input_and_makes_no_product(self, monkeypatch):
+        t = build(small_config(cap_k=0))
+
+        def no_product(*args):
+            raise AssertionError("a k=0 transform called apply")
+
+        monkeypatch.setattr(projection, "apply", no_product)
+        assert np.array_equal(t.forward(np.ones(30)), np.zeros(120))
+        assert np.array_equal(t.forward_batch(np.ones((3, 30))), np.zeros((3, 120)))
+        bad = np.ones(30)
+        bad[4] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            t.forward(bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            t.forward_batch(np.stack([np.ones(30), bad]))
+        with pytest.raises(ValueError):
+            t.forward(np.ones(29))
+        with pytest.raises(ValueError):
+            t.forward_batch(np.ones((2, 31)))
 
     def test_matches_projection_plus_cap(self):
         t = build(small_config())
@@ -106,6 +127,22 @@ class TestForwardBatch:
         for i in range(0, 1000, 97):
             assert np.array_equal(batch[i], t.forward(rows[i]))
         assert batch.shape == (1000, 120)
+
+    def test_partial_last_block(self):
+        """70 rows at n=2000 run as blocks of 32, 32 and 6 rows; each
+        row equals its own forward bit for bit."""
+        t = build(small_config(output_dim=2000, cap_k=200))
+        rows = np.random.default_rng(8).standard_normal((70, 30))
+        batch = t.forward_batch(rows)
+        for i in range(70):
+            assert batch[i].tobytes() == t.forward(rows[i]).tobytes()
+
+    def test_non_finite_rows_rejected(self):
+        t = build(small_config())
+        rows = np.zeros((3, 30))
+        rows[2, 7] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            t.forward_batch(rows)
 
     def test_ragged_rows_rejected(self):
         t = build(small_config())
