@@ -26,6 +26,15 @@ from .transform import TransformConfig, build
 DEFAULT_SEED = 42
 
 
+class _SeedAction(argparse.Action):
+    """Stores --seed and notes that it was given, in whatever spelling
+    (`--seed N`, `--seed=N`, an abbreviation such as `--se N`)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.seed_given = True
+
+
 def parse_int_grid(text: str) -> list[int]:
     """`a:b[:step]` (inclusive of b) or comma-separated values."""
     if ":" in text:
@@ -54,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    seeded.add_argument("--seed", type=int, default=DEFAULT_SEED, action=_SeedAction)
 
     p_tr = sub.add_parser("transform", parents=[seeded], help="project+cap a feature CSV")
     p_tr.add_argument("--input", required=True)
@@ -250,8 +259,8 @@ def main(argv=None) -> int:
     seed = getattr(args, "seed", None)
     if seed is not None:
         print(f"seed={seed}")
-        # the reproducibility header must record the seed even when defaulted
-        if "--seed" not in argv:
+        # the reproducibility header records the seed once, even when defaulted
+        if not getattr(args, "seed_given", False):
             invocation += f" --seed {seed}"
     try:
         if args.command == "transform":

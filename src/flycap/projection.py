@@ -123,14 +123,23 @@ def sample_matrix(n_rows: int, n_cols: int, p: float, seed: int) -> SparseSignMa
     seed = check_seed(seed)
 
     # Row i's stream is Philox keyed by (seed, i) with the counter at
-    # zero. One state dict is rekeyed in place per row: its counter stays
-    # zero and its buffer_pos stays 4 (empty), so assigning it restarts
-    # the bit generator exactly as a fresh Philox(key=[seed, i]) would.
+    # zero. The dict below is the state of such a fresh stream: counter
+    # zero, buffer empty (buffer_pos 4), no spare 32-bit draw. Assigning
+    # it after setting key[1] = i restarts the bit generator exactly as a
+    # fresh Philox(key=[seed, i]) would. It holds plain ints, not the
+    # uint64 arrays `bg.state` returns: the setter reads its 13 numbers
+    # one at a time, and as numpy scalars they cost it ~3x as long.
     bg = np.random.Philox(key=0)
     gen = np.random.Generator(bg)
-    state = bg.state
-    key = state["state"]["key"]
-    key[0] = seed
+    key = [seed, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     block_rows = max(1, _BLOCK_POSITIONS // n_cols)
     u = np.empty((min(block_rows, n_rows), n_cols))
     counts, cols, values = [], [], []

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import stat
 from dataclasses import asdict
 
@@ -236,6 +237,28 @@ class TestSynthCommand:
         finally:
             os.umask(saved)
         assert os.listdir(tmp_path) == ["synth.csv"]
+
+    @pytest.mark.parametrize("spelling", [["--seed=9"], ["--se", "9"]])
+    def test_header_records_given_seed_once(self, tmp_path, spelling):
+        """Any spelling of --seed is recorded once, as typed; the data
+        is that of `--seed 9`, whose header is the argv alone."""
+        flags = ["synth", "--classes", "2", "--per-class", "2", "--dim", "3"]
+        outputs = {}
+        for form in (spelling, ["--seed", "9"]):
+            out = tmp_path / "synth.csv"
+            argv = [*flags, *form, "--out", str(out)]
+            assert main(argv) == 0
+            header, body = out.read_text().split("\n", 1)
+            assert header == "# " + shlex.join(["flycap", *argv])
+            outputs[tuple(form)] = body
+        assert len(set(outputs.values())) == 1
+
+    def test_header_appends_defaulted_seed(self, tmp_path):
+        out = tmp_path / "synth.csv"
+        argv = ["synth", "--classes", "2", "--per-class", "2", "--dim", "3", "--out", str(out)]
+        assert main(argv) == 0
+        header = out.read_text().split("\n", 1)[0]
+        assert header == "# " + shlex.join(["flycap", *argv]) + " --seed 42"
 
     @pytest.mark.parametrize("flag", ["--noise-sigma", "--center-scale"])
     @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -1,0 +1,35 @@
+"""Seeded outputs pinned by SHA-256 in golden.json.
+
+A stream or storage change made by accident fails here. One made on
+purpose updates golden.json, and the change log names the entries that
+moved and why.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from flycap.projection import sample_matrix
+
+GOLDEN = json.loads((Path(__file__).parent / "golden.json").read_text())
+
+
+def storage_digest(n_rows, n_cols, p, seed):
+    """SHA-256 of the little-endian rows, indices and values, in that order."""
+    m = sample_matrix(n_rows, n_cols, p, seed)
+    h = hashlib.sha256()
+    for array, dtype in ((m.rows, "<i4"), (m.indices, "<i4"), (m.values, "i1")):
+        h.update(array.astype(dtype).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN["sample_matrix"], ids=lambda c: f"{c['n_rows']}x{c['n_cols']}"
+)
+def test_sample_matrix_storage(case):
+    """Shapes include one whose rows end mid-way through a Philox buffer
+    (1001 uniforms, 4 per buffer) and one at the largest seed."""
+    args = (case["n_rows"], case["n_cols"], case["p"], case["seed"])
+    assert storage_digest(*args) == case["sha256"]

@@ -14,6 +14,7 @@ from flycap.projection import (
     sample_matrix,
     sign_entries,
 )
+from flycap.seeding import MAX_SEED
 
 
 def empty_matrix(n_rows=3, n_cols=4):
@@ -25,6 +26,25 @@ def empty_matrix(n_rows=3, n_cols=4):
         np.empty(0, dtype=np.int32),
         np.empty(0, dtype=np.int8),
     )
+
+
+def fresh_stream_entries(n_rows, n_cols, p, seed):
+    """Row i drawn from a fresh Philox keyed by (seed, i), mapped by the
+    shared sign rule: what sample_matrix must store."""
+    u = np.stack([
+        np.random.Generator(
+            np.random.Philox(key=np.array([seed, i], dtype=np.uint64))
+        ).random(n_cols)
+        for i in range(n_rows)
+    ])
+    return sign_entries(u, p)
+
+
+def assert_storage(m, entries):
+    rows, cols, values = entries
+    assert np.array_equal(m.rows, rows)
+    assert np.array_equal(m.indices, cols)
+    assert np.array_equal(m.values, values)
 
 
 def explicit_matrix(rows):
@@ -102,16 +122,18 @@ class TestSampling:
             block_rows = projection._BLOCK_POSITIONS // n_cols
             assert -(-n_rows // block_rows) >= 3
             m = sample_matrix(n_rows, n_cols, p, seed)
-            u = np.stack([
-                np.random.Generator(
-                    np.random.Philox(key=np.array([seed, i], dtype=np.uint64))
-                ).random(n_cols)
-                for i in range(n_rows)
-            ])
-            rows, cols, values = sign_entries(u, p)
-            assert np.array_equal(m.rows, rows)
-            assert np.array_equal(m.indices, cols)
-            assert np.array_equal(m.values, values)
+            assert_storage(m, fresh_stream_entries(n_rows, n_cols, p, seed))
+
+    def test_key_edges_match_fresh_streams(self):
+        """The rekeyed state is a fresh stream at the ends of the seed
+        range: seed 0, and MAX_SEED, whose top bit the key must carry.
+        Rows of 1001 uniforms end one draw into a Philox buffer, and two
+        calls made back to back at different seeds share no state."""
+        p, n_rows, n_cols = 0.1, 6, 1001
+        seeds = (MAX_SEED, 0)
+        matrices = [sample_matrix(n_rows, n_cols, p, seed) for seed in seeds]
+        for m, seed in zip(matrices, seeds):
+            assert_storage(m, fresh_stream_entries(n_rows, n_cols, p, seed))
 
     def test_storage_invariants(self):
         """Row ids are nondecreasing, each row holds as many entries as
