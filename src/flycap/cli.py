@@ -4,8 +4,8 @@ Subcommands: transform (apply the projection+cap to a feature CSV),
 bounds (print a closed-form evaluator), verify (run a Monte Carlo
 suite), sweep (run an accuracy sweep), synth (write a synthetic
 dataset). Every output file starts with a `#` line recording the full
-invocation; exit codes are 0 (success), 1 (validation error), and 2
-(a verify suite reported failure).
+invocation; exit codes are 0 (success), 1 (validation error or out of
+memory), and 2 (a verify suite reported failure).
 """
 
 from __future__ import annotations
@@ -272,8 +272,8 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args, invocation)
         return _cmd_synth(args, invocation)
-    except (ValueError, OSError, experiments.SweepError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError, experiments.SweepError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

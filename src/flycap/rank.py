@@ -2,11 +2,8 @@
 
 1. A zero row or column proves singular (how almost every singular
    sparse sign matrix is singular).
-2. A residual certificate proves invertible. X = rint(s * inv(a)) with
-   s = 2^e, e >= 0, and every row of X has sum_k |X_ik| * max|a| <= 2^52,
-   so every partial sum of X @ a is an integer below 2^53 and the float64
-   product is exact in any order. If E = s*I - X @ a has every absolute
-   row sum below s (in int64), ||I - (X/s) a||_inf < 1.
+2. A Cholesky proves G = a^T a positive definite, so a invertible; when
+   m * max|a|^2 <= 2^53 the float64 product G is exact in any order.
 3. Two rows, or two columns, equal up to sign prove singular (about half
    of the singular sign matrices with no zero line).
 4. Otherwise the exact fraction-free big-integer determinant decides.
@@ -19,32 +16,29 @@ import math
 import numpy as np
 
 
-def _certified_invertible(a: np.ndarray) -> bool:
-    """True proves the square integer matrix a nonsingular; False proves nothing."""
-    amax = max(int(a.max()), -int(a.min()))
-    if amax > 2**20:
+def _positive_definite(g: np.ndarray) -> bool:
+    """True proves the symmetric m x m float64 matrix g, with integer entries
+    and a nonnegative diagonal, positive definite; False proves nothing.
+
+    If a float64 Cholesky of h completes, R^T R = h + dh with ||dh||_2 <=
+    gamma/(1 - gamma) tr h, gamma = (m+1)u / (1 - (m+1)u), u = 2^-53
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3;
+    Rump, BIT 2006). So g = R^T R - dh + cI is positive definite when
+    h = g - cI and c, the least power of two above 4(m+1)u tr g, clears
+    that bound with margin for the rounding of tr g. As c >= 2^-51 g_jj,
+    each positive g_jj - c is exact; any other fails the Cholesky.
+    Assumes BLAS and LAPACK use no Strassen-type products.
+    """
+    m = g.shape[0]
+    trace = float(np.trace(g))
+    if trace <= 0:
         return False
+    c = 2.0 ** math.frexp(4 * (m + 1) * 2.0**-53 * trace)[1]
     try:
-        r = np.linalg.inv(a.astype(np.float64))
+        np.linalg.cholesky(g - c * np.eye(m))
     except np.linalg.LinAlgError:
         return False
-    row_norm = float(np.abs(r).sum(axis=1).max())
-    if not 0.0 < row_norm < math.inf:
-        return False
-    m = a.shape[0]
-    budget = 2**52 // amax
-    # rint adds <= 1/2 per entry; m * s < 2^62 keeps E's clipped row sums in int64
-    e = min(math.frexp((budget - m) / row_norm)[1] - 1, 62 - m.bit_length())
-    if e < 0:
-        return False
-    s = 2**e
-    x = np.rint(r * s)
-    # float sums of integers are exact below 2^53 and round monotonically above
-    if np.abs(x).sum(axis=1).max() > budget:
-        return False
-    resid = (x @ a.astype(np.float64)).astype(np.int64)
-    resid[np.diag_indices(m)] -= s
-    return bool(np.minimum(np.abs(resid), s).sum(axis=1).max() < s)
+    return True
 
 
 def _has_signed_twin_rows(a: np.ndarray) -> bool:
@@ -87,7 +81,10 @@ def is_invertible(a: np.ndarray) -> bool:
         raise ValueError(f"expected an integer matrix, got dtype {a.dtype}")
     if not (a.any(axis=0).all() and a.any(axis=1).all()):
         return False
-    if _certified_invertible(a):
+    amax = max(int(a.max()), -int(a.min()))
+    f = a.astype(np.float64)
+    # m * max|a|^2 <= 2^53 keeps every partial sum of f.T @ f an exact integer
+    if a.shape[0] * amax**2 <= 2**53 and _positive_definite(f.T @ f):
         return True
     if _has_signed_twin_rows(a) or _has_signed_twin_rows(a.T):
         return False

@@ -134,6 +134,25 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 74.5 GiB"), "Unable to allocate 74.5 GiB"),
+        (MemoryError(), "MemoryError"),
+    ])
+    def test_memory_error_exits_1(self, tmp_path, capsys, monkeypatch, exc, message):
+        """The callee raises at once, so nothing large is allocated."""
+
+        def out_of_memory(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli.verify, "invertibility_curve", out_of_memory)
+        code = main([
+            "verify", "invertibility", "--p", "0.05", "--m", "100000",
+            "--trials", "1", "--out", str(tmp_path / "inv.csv"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "inv.csv").exists()
+
     def test_non_finite_det_epsilon_exits_1_and_writes_nothing(self, tmp_path, capsys):
         code = main([
             "verify", "det", "--p", "0.3", "--m", "8", "--epsilon", "nan",

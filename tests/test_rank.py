@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import flycap.rank as rank
-from flycap.rank import _certified_invertible, _has_signed_twin_rows, det_exact, is_invertible
+from flycap.rank import _has_signed_twin_rows, _positive_definite, det_exact, is_invertible
 from flycap.seeding import derive_rng
 from flycap.verify import _TAG_INVERT, sample_square_sign_matrix
 
@@ -19,6 +19,12 @@ def counted_det_exact(monkeypatch) -> list:
 
     monkeypatch.setattr(rank, "det_exact", counted)
     return calls
+
+
+def gram(a: np.ndarray) -> np.ndarray:
+    """a^T a in float64, exact for the small entries used here."""
+    f = a.astype(np.float64)
+    return f.T @ f
 
 
 def planted_singular(m: int, p: float, kind: str, seed: int) -> np.ndarray:
@@ -74,8 +80,8 @@ class TestIsInvertible:
         assert is_invertible(np.array([[1, 1], [0, -1]]))
 
     def test_entries_beyond_the_certificate_range(self):
-        """Entries above 2^20 skip the certificate; the exact determinant
-        decides."""
+        """Beyond m * max|a|^2 <= 2^53 the float64 Gram matrix may be inexact,
+        so the Cholesky proof is skipped; the exact determinant decides."""
         assert is_invertible(np.array([[2147483647 * 2147483629]]))
         assert is_invertible(np.diag([2147483647] * 2))
 
@@ -103,14 +109,32 @@ class TestIsInvertible:
     def test_planted_dependency_never_certified(self, m, p, kind):
         for seed in range(5):
             a = planted_singular(m, p, kind, seed)
-            assert not _certified_invertible(a)
+            assert not _positive_definite(gram(a))
             assert not is_invertible(a)
+
+    def test_shift_refuses_what_unshifted_cholesky_accepts(self):
+        """Rounding lets a float Cholesky of many singular Gram matrices
+        complete; only the shift c keeps them from being proved."""
+        completed = 0
+        for kind in ("duplicate_row", "negated_row", "column_sum"):
+            for seed in range(20):
+                g = gram(planted_singular(48, 0.5, kind, seed))
+                try:
+                    np.linalg.cholesky(g)
+                    completed += 1
+                except np.linalg.LinAlgError:
+                    pass
+                assert not _positive_definite(g)
+        assert completed > 0
+
+    def test_zero_gram_matrix_is_not_proved(self):
+        assert not _positive_definite(np.zeros((3, 3)))
 
     def test_ill_conditioned_falls_back_to_determinant(self, monkeypatch):
         """Unit upper-triangular with -1 above the diagonal: determinant 1,
         condition number ~5e18, so only the exact determinant proves it."""
         a = np.eye(60, dtype=np.int64) - np.triu(np.ones((60, 60), dtype=np.int64), 1)
-        assert not _certified_invertible(a)
+        assert not _positive_definite(gram(a))
         calls = counted_det_exact(monkeypatch)
         assert is_invertible(a)
         assert len(calls) == 1
@@ -122,6 +146,18 @@ class TestIsInvertible:
             rng = derive_rng(2, _TAG_INVERT, 100, trial)
             is_invertible(sample_square_sign_matrix(rng, 100, 0.05))
         assert calls == []
+
+    def test_criterion_2_draw_beyond_the_proof_reaches_the_determinant(self, monkeypatch):
+        """Draw 587 of criterion 2's m=100, p=0.05 stream is invertible with
+        smallest singular value ~6.6e-6. Its Gram matrix has lambda_min
+        4.40e-11 < c = 2^-34, and G - cI is indefinite by more than the
+        Cholesky's backward error (1.03e-11), so no LAPACK proves it and
+        Bareiss decides."""
+        a = sample_square_sign_matrix(derive_rng(2, _TAG_INVERT, 100, 587), 100, 0.05)
+        assert not _positive_definite(gram(a))
+        calls = counted_det_exact(monkeypatch)
+        assert is_invertible(a)
+        assert len(calls) == 1
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
