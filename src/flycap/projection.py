@@ -7,8 +7,8 @@ Entries have mean zero and variance 2p(1-p). Only nonzeros are stored,
 as row/column/value triplets in row-major order. Products run over a
 jagged-diagonal layout derived from the triplets (Saad, SIAM J. Sci.
 Stat. Comput. 1989): diagonal j holds the j-th entry of every row that
-has one, so a product is a few contiguous passes instead of one
-scattered pass over all nonzeros.
+has one, so a product is a few contiguous passes per cache-sized tile
+of output rows instead of one scattered pass over all nonzeros.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ _MAX_COLS = 2**30
 _MAX_ROWS = 2**31 - 1
 # uniforms drawn per block of rows, so sampling memory follows the output
 _BLOCK_POSITIONS = 2**20
+# accumulator entries per tile of output rows in apply, so a tile stays in cache
+_TILE_ENTRIES = 2**16
 
 
 def _check_shape(n_rows: int, n_cols: int) -> None:
@@ -164,10 +166,10 @@ def apply(m: SparseSignMatrix, x: np.ndarray) -> np.ndarray:
 
     A vector gives an n_rows vector and a block a (rows x n_rows)
     array. Each output entry starts at 0.0 and adds its row's signed
-    terms in column order, one jagged diagonal at a time, so the result
-    is rounded like any float64 sum but reproducible bit-for-bit,
-    independent of thread configuration, and a row gives the same bits
-    alone as inside a block.
+    terms in column order, one jagged diagonal at a time over tiles of
+    ~2^16 accumulator entries, so the result is rounded like any float64
+    sum but reproducible bit-for-bit, its order independent of tiling and
+    threads, and a row gives the same bits alone as inside a block.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != m.n_cols:
@@ -180,8 +182,13 @@ def apply(m: SparseSignMatrix, x: np.ndarray) -> np.ndarray:
     # row c of both is +x_c and row c + n_cols is -x_c, each contiguous
     both = np.ascontiguousarray(np.concatenate((xt, -xt)))
     acc = np.zeros((m.n_rows,) + xt.shape[1:])
-    for diagonal in m.diagonals:
-        acc[: diagonal.shape[0]] += both.take(diagonal, axis=0)
+    tile = max(1, _TILE_ENTRIES // max(1, x.size // m.n_cols))
+    for lo in range(0, m.n_rows, tile):
+        for diagonal in m.diagonals:
+            if diagonal.shape[0] <= lo:
+                break  # diagonals only shorten: no later one reaches this tile
+            part = diagonal[lo : lo + tile]
+            acc[lo : lo + part.shape[0]] += both.take(part, axis=0)
     out = np.empty(x.shape[:-1] + (m.n_rows,))
     out.T[m.order] = acc
     return out

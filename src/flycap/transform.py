@@ -16,8 +16,8 @@ from . import projection
 from .cap import cap
 from .seeding import check_seed
 
-# projected entries per apply call in forward_batch, so a block stays in cache
-_BLOCK_OUTPUTS = 2**16
+# rows per apply call in forward_batch; apply's tiles keep any block in cache
+_BLOCK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,11 @@ class Transform:
     def forward_batch(self, rows) -> np.ndarray:
         """Row-wise forward; preserves row order.
 
-        Rows are projected in blocks and capped one by one. `apply` sums
-        each row of a block exactly as it sums a single vector, so a batch
-        equals the per-row loop bit-for-bit. With cap_k == 0 the rows are
-        only checked and no product is made.
+        Rows are projected in blocks of 32 and capped one by one. `apply`
+        sums each row of a block in the same order as a single vector, so
+        a batch equals the per-row loop bit-for-bit; beyond the output, a
+        block takes about 2 x 32 x output_dim floats. With cap_k == 0 the
+        rows are only checked and no product is made.
         """
         try:
             rows = np.asarray(rows, dtype=np.float64)
@@ -84,9 +85,8 @@ class Transform:
         out = np.zeros((rows.shape[0], self.config.output_dim))
         if self.config.cap_k == 0:
             return out
-        block = max(1, _BLOCK_OUTPUTS // self.config.output_dim)
-        for start in range(0, rows.shape[0], block):
-            projected = projection.apply(self.matrix, rows[start : start + block])
+        for start in range(0, rows.shape[0], _BLOCK_ROWS):
+            projected = projection.apply(self.matrix, rows[start : start + _BLOCK_ROWS])
             for i, row in enumerate(projected, start):
                 out[i] = cap(row, self.config.cap_k)
         return out

@@ -10,10 +10,13 @@ import json
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from flycap import projection
 from flycap.cli import main
 from flycap.projection import sample_matrix
+from flycap.transform import TransformConfig, build
 
 GOLDEN = json.loads((Path(__file__).parent / "golden.json").read_text())
 
@@ -35,6 +38,23 @@ def test_sample_matrix_storage(case):
     (1001 uniforms, 4 per buffer) and one at the largest seed."""
     args = (case["n_rows"], case["n_cols"], case["p"], case["seed"])
     assert storage_digest(*args) == case["sha256"]
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN["forward_batch"], ids=lambda c: f"{c['rows']}x{c['output_dim']}"
+)
+def test_forward_batch_output(case):
+    """SHA-256 of the little-endian float64 output for standard normal
+    rows drawn by default_rng(seed). The product spans several tiles of
+    output rows, the last one partial; at p=0.2 its short rows still
+    hold terms, some of which survive the cap."""
+    rows = np.random.default_rng(case["seed"]).standard_normal((case["rows"], case["input_dim"]))
+    assert projection._TILE_ENTRIES // case["rows"] * 3 < case["output_dim"]
+    config = TransformConfig(
+        case["input_dim"], case["output_dim"], case["p"], case["k"], case["seed"]
+    )
+    out = build(config).forward_batch(rows)
+    assert hashlib.sha256(out.astype("<f8").tobytes()).hexdigest() == case["sha256"]
 
 
 @pytest.mark.parametrize("case", GOLDEN["cli"], ids=lambda c: c["args"].split(" --")[0])

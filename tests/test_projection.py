@@ -298,24 +298,37 @@ BLOCK_CASES = {
 }
 
 
+def assert_block_equals_rows_and_oracles(m, n_block):
+    rng = np.random.default_rng(n_block)
+    block = rng.standard_normal((n_block, m.n_cols))
+    block[:, ::3] = 0.0
+    block[:, 1::5] = -0.0
+    got = apply(m, block)
+    assert got.shape == (n_block, m.n_rows) and got.flags.c_contiguous
+    for row, out in zip(block, got):
+        alone = apply(m, row)
+        assert alone.tobytes() == out.tobytes()
+        assert bincount_product(m, row).tobytes() == out.tobytes()
+        assert ordered_dense_product(m, row).tobytes() == out.tobytes()
+
+
 class TestBlockApply:
     @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
     @pytest.mark.parametrize("n_block", [0, 1, 7])
     def test_block_equals_rows_and_oracles(self, case, n_block):
         """A block, each row alone, the former bincount and the ordered
         dense oracle agree bit for bit, zeros and signed zeros included."""
-        m = BLOCK_CASES[case]
-        rng = np.random.default_rng(n_block)
-        block = rng.standard_normal((n_block, m.n_cols))
-        block[:, ::3] = 0.0
-        block[:, 1::5] = -0.0
-        got = apply(m, block)
-        assert got.shape == (n_block, m.n_rows) and got.flags.c_contiguous
-        for row, out in zip(block, got):
-            alone = apply(m, row)
-            assert alone.tobytes() == out.tobytes()
-            assert bincount_product(m, row).tobytes() == out.tobytes()
-            assert ordered_dense_product(m, row).tobytes() == out.tobytes()
+        assert_block_equals_rows_and_oracles(BLOCK_CASES[case], n_block)
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    @pytest.mark.parametrize("n_block", [0, 1, 7])
+    @pytest.mark.parametrize("tile_rows", [3, 7])
+    def test_tiles_equal_rows_and_oracles(self, case, n_block, tile_rows, monkeypatch):
+        """The same agreement when every product, block or single row,
+        runs over tiles of 3 or 7 output rows: the 5-, 40- and 300-row
+        cases span several tiles and end in a partial one."""
+        monkeypatch.setattr(projection, "_TILE_ENTRIES", tile_rows * max(1, n_block))
+        assert_block_equals_rows_and_oracles(BLOCK_CASES[case], n_block)
 
     def test_negative_zero_terms_sum_to_positive_zero(self):
         m = explicit_matrix([[-1, 0], [1, 1]])

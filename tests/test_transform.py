@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from flycap import projection
+from flycap import projection, transform
 from flycap.projection import apply, sample_matrix
 from flycap.transform import Transform, TransformConfig, build
 
@@ -133,6 +133,18 @@ class TestForwardBatch:
         row equals its own forward bit for bit."""
         t = build(small_config(output_dim=2000, cap_k=200))
         rows = np.random.default_rng(8).standard_normal((70, 30))
+        batch = t.forward_batch(rows)
+        for i in range(70):
+            assert batch[i].tobytes() == t.forward(rows[i]).tobytes()
+
+    def test_blocks_spanning_several_tiles(self):
+        """At n=7000 a 32-row block is summed over four tiles of 2048
+        output rows, the last partial, while forward sums one tile; 70
+        rows end in a 6-row block. Each row equals its own forward bit
+        for bit."""
+        t = build(small_config(output_dim=7000, cap_k=700))
+        assert projection._TILE_ENTRIES // transform._BLOCK_ROWS * 3 < 7000
+        rows = np.random.default_rng(9).standard_normal((70, 30))
         batch = t.forward_batch(rows)
         for i in range(70):
             assert batch[i].tobytes() == t.forward(rows[i]).tobytes()
