@@ -4,22 +4,22 @@ The projection matrix has independent entries taking the value +1 or -1
 each with probability p(1-p) and 0 otherwise, which is exactly the
 distribution of the difference of two independent Bernoulli(p) draws.
 Entries have mean zero and variance 2p(1-p). Only nonzeros are stored,
-as row/column/value triplets in row-major order. Products run over a
-jagged-diagonal layout derived from the triplets (Saad, SIAM J. Sci.
-Stat. Comput. 1989): diagonal j holds the j-th entry of every row that
-has one, so a product is a few contiguous passes per cache-sized tile
-of output rows instead of one scattered pass over all nonzeros.
+once, in the jagged-diagonal layout the products run over (Saad, SIAM
+J. Sci. Stat. Comput. 1989): 4 bytes per nonzero plus 8 per row.
+Diagonal j holds the j-th entry of every row that has one, so a product
+is a few contiguous passes per cache-sized tile of output rows instead
+of one scattered pass over all nonzeros.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .seeding import check_seed
 
-# the int32 index holds a column c or c + n_cols, and a row id
+# an int32 diagonal entry holds c or c + n_cols; derived row ids are int32
 _MAX_COLS = 2**30
 _MAX_ROWS = 2**31 - 1
 # uniforms drawn per block of rows, so sampling memory follows the output
@@ -40,43 +40,37 @@ def _check_shape(n_rows: int, n_cols: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class SparseSignMatrix:
-    """A {-1, 0, +1} random matrix stored as (row, column, value) triplets.
+    """A {-1, 0, +1} random matrix stored as its jagged-diagonal layout.
 
     Rebuilding with identical (n_rows, n_cols, p, seed) reproduces
     bit-identical storage: row i is drawn from its own counter-derived
-    stream, so generation order cannot change the result. Construction
-    derives the jagged-diagonal layout that `apply` runs over:
-    ``order`` lists the rows by nonzero count, longest first and
-    stable, and ``diagonals[j]`` holds, for the leading rows of that
-    order which have a j-th entry, its signed column (c for +1,
-    c + n_cols for -1) as int32. Fields cannot be reassigned and no
-    function of this module writes into the arrays, so threads may
-    share one matrix.
+    stream, so generation order cannot change the result. It is built
+    from ``counts``, the entries per row, and ``signed``, every row's
+    signed columns (c for +1, c + n_cols for -1) in row-major order as
+    int32; neither is kept. ``order`` lists the rows by nonzero count,
+    longest first and stable, and ``diagonals[j]`` holds, for the
+    leading rows of that order which have a j-th entry, its signed
+    column. ``rows``, ``indices`` and ``values`` derive the row-major
+    triplets from the layout on each access. Fields cannot be reassigned
+    and no function of this module writes into the arrays, so threads
+    may share one matrix.
     """
 
     n_rows: int
     n_cols: int
     p: float
-    rows: np.ndarray  # int32 row index per stored entry, nondecreasing
-    indices: np.ndarray  # int32 column index per stored entry, sorted per row
-    values: np.ndarray  # int8, each exactly -1 or +1
+    counts: InitVar[np.ndarray]
+    signed: InitVar[np.ndarray]
     order: np.ndarray = field(init=False, repr=False)
     diagonals: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    nnz: int = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, counts, signed):
         _check_shape(self.n_rows, self.n_cols)
-        # bincount copies its input to int64, so count a block at a time
-        counts = np.zeros(self.n_rows, dtype=np.int64)
-        for start in range(0, self.nnz, _BLOCK_POSITIONS):
-            counts += np.bincount(
-                self.rows[start : start + _BLOCK_POSITIONS], minlength=self.n_rows
-            )
         top = counts.max(initial=0)
         # a stable sort of keys of 16 bits or fewer is a radix sort
         order = np.argsort((top - counts).astype(np.min_scalar_type(top)), kind="stable")
         starts = (np.cumsum(counts) - counts)[order]
-        signed = (self.values < 0) * np.int32(self.n_cols)
-        signed += self.indices
         # diagonal j covers the rows with more than j entries, a prefix of order
         lengths = self.n_rows - np.cumsum(np.bincount(counts))[:-1]
         diagonals = tuple(
@@ -84,15 +78,31 @@ class SparseSignMatrix:
         )
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "diagonals", diagonals)
+        object.__setattr__(self, "nnz", int(signed.shape[0]))
 
-    @property
-    def nnz(self) -> int:
-        return int(self.values.shape[0])
+    def _triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row ids (int32), columns (int32) and values (int8) in row-major order."""
+        lengths = [diagonal.shape[0] for diagonal in self.diagonals]
+        counts = np.empty(self.n_rows, dtype=np.int64)
+        # the row at position s of order has an entry in each diagonal longer than s
+        counts[self.order] = np.searchsorted(-np.array(lengths), -np.arange(self.n_rows))
+        starts = (np.cumsum(counts) - counts)[self.order]
+        signed = np.empty(self.nnz, dtype=np.int32)
+        for j, diagonal in enumerate(self.diagonals):
+            signed[starts[: diagonal.shape[0]] + j] = diagonal
+        negative, indices = np.divmod(signed, np.int32(self.n_cols))
+        rows = np.repeat(np.arange(self.n_rows, dtype=np.int32), counts)
+        return rows, indices, (1 - 2 * negative).astype(np.int8)
+
+    rows = property(lambda self: self._triplets()[0], doc="int32 row id per entry")
+    indices = property(lambda self: self._triplets()[1], doc="int32 column per entry")
+    values = property(lambda self: self._triplets()[2], doc="int8 sign per entry")
 
     def to_dense(self) -> np.ndarray:
         """Dense float64 copy (for small matrices and oracle checks)."""
+        rows, indices, values = self._triplets()
         out = np.zeros((self.n_rows, self.n_cols))
-        out[self.rows, self.indices] = self.values
+        out[rows, indices] = values
         return out
 
 
@@ -144,21 +154,20 @@ def sample_matrix(n_rows: int, n_cols: int, p: float, seed: int) -> SparseSignMa
     }
     block_rows = max(1, _BLOCK_POSITIONS // n_cols)
     u = np.empty((min(block_rows, n_rows), n_cols))
-    counts, cols, values = [], [], []
+    counts, signed = [], []
     for start in range(0, n_rows, block_rows):
         block = u[: min(block_rows, n_rows - start)]
         for i, row in enumerate(block, start):
             key[1] = i
             bg.state = state
             gen.random(out=row)
-        local_rows, block_cols, block_values = sign_entries(block, p)
+        local_rows, cols, values = sign_entries(block, p)
         counts.append(np.bincount(local_rows, minlength=block.shape[0]))
-        cols.append(block_cols.astype(np.int32))
-        values.append(block_values)
-    del u  # not held while the layout is built
-    rows = np.repeat(np.arange(n_rows, dtype=np.int32), np.concatenate(counts))
-    cols, values = np.concatenate(cols), np.concatenate(values)
-    return SparseSignMatrix(n_rows, n_cols, p, rows, cols, values)
+        signed.append(np.where(values < 0, cols + n_cols, cols).astype(np.int32))
+    del u, block, row  # the views would keep the uniforms while the layout is built
+    # rebinding drops the pieces before the layout is built
+    counts, signed = np.concatenate(counts), np.concatenate(signed)
+    return SparseSignMatrix(n_rows, n_cols, p, counts, signed)
 
 
 def apply(m: SparseSignMatrix, x: np.ndarray) -> np.ndarray:

@@ -41,6 +41,19 @@ def test_sample_matrix_storage(case):
 
 
 @pytest.mark.parametrize(
+    "case", GOLDEN["layout"], ids=lambda c: f"{c['n_rows']}x{c['n_cols']}"
+)
+def test_sample_matrix_layout(case):
+    """SHA-256 of the little-endian int64 order, then each int32
+    diagonal in turn: the bytes apply reads."""
+    m = sample_matrix(case["n_rows"], case["n_cols"], case["p"], case["seed"])
+    h = hashlib.sha256(m.order.astype("<i8").tobytes())
+    for diagonal in m.diagonals:
+        h.update(diagonal.astype("<i4").tobytes())
+    assert h.hexdigest() == case["sha256"]
+
+
+@pytest.mark.parametrize(
     "case", GOLDEN["forward_batch"], ids=lambda c: f"{c['rows']}x{c['output_dim']}"
 )
 def test_forward_batch_output(case):

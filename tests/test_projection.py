@@ -3,6 +3,7 @@ of the sparse sign matrix."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,12 +20,7 @@ from flycap.seeding import MAX_SEED
 
 def empty_matrix(n_rows=3, n_cols=4):
     return SparseSignMatrix(
-        n_rows,
-        n_cols,
-        0.05,
-        np.empty(0, dtype=np.int32),
-        np.empty(0, dtype=np.int32),
-        np.empty(0, dtype=np.int8),
+        n_rows, n_cols, 0.05, np.zeros(n_rows, dtype=np.int64), np.empty(0, dtype=np.int32)
     )
 
 
@@ -52,14 +48,21 @@ def explicit_matrix(rows):
     dense = np.asarray(rows)
     n_rows, n_cols = dense.shape
     nz_rows, nz_cols = np.nonzero(dense)
+    signed = np.where(dense[nz_rows, nz_cols] < 0, nz_cols + n_cols, nz_cols)
     return SparseSignMatrix(
-        n_rows,
-        n_cols,
-        0.5,
-        nz_rows.astype(np.int32),
-        nz_cols.astype(np.int32),
-        dense[nz_rows, nz_cols].astype(np.int8),
+        n_rows, n_cols, 0.5, np.count_nonzero(dense, axis=1), signed.astype(np.int32)
     )
+
+
+def held_bytes(m):
+    """Bytes of every array the matrix references, a view counted as its base."""
+    arrays = {}
+    for value in vars(m).values():
+        for array in value if isinstance(value, tuple) else (value,):
+            if isinstance(array, np.ndarray):
+                base = array if array.base is None else array.base
+                arrays[id(base)] = base.nbytes
+    return sum(arrays.values())
 
 
 class TestSampling:
@@ -85,7 +88,9 @@ class TestSampling:
             sample_matrix(2**31, 1, 0.05, 0)
         for n_rows, n_cols in ((1, 2**30 + 1), (2**31, 1)):
             with pytest.raises(ValueError, match="int32"):
-                empty_matrix(n_rows, n_cols)
+                SparseSignMatrix(
+                    n_rows, n_cols, 0.05, np.empty(0, np.int64), np.empty(0, np.int32)
+                )
 
     def test_deterministic_regeneration(self):
         a = sample_matrix(50, 40, 0.1, 123)
@@ -164,6 +169,57 @@ class TestSampling:
         assert [d.tolist() for d in m.diagonals] == [[0, 0, 4, 2], [1, 5], [2]]
         assert all(d.dtype == np.int32 for d in m.diagonals)
         assert empty_matrix().diagonals == ()
+
+    @pytest.mark.parametrize(
+        "dense",
+        [
+            [[0, 0, 0, 0]] * 5,
+            [[1, -1, 1], [0, 0, 0], [0, 0, 0], [-1, -1, -1], [0, 0, 0], [1, 0, 1]],
+            [[-1]],
+            [[0, 1, -1, 0, 1]],
+            [[1], [0], [-1], [-1]],
+            [[0, 1, 0, 0], [1, -1, -1, 1], [0, 0, -1, 0]],
+        ],
+        ids=["all_zero", "empty_rows", "one_by_one", "one_row", "one_col", "full_row"],
+    )
+    def test_derived_triplets_round_trip(self, dense):
+        """rows, indices, values, nnz and to_dense give back what the
+        layout was built from: no diagonals, empty rows between full ones,
+        a single row or column, a row with every column set."""
+        dense = np.asarray(dense)
+        m = explicit_matrix(dense)
+        nz_rows, nz_cols = np.nonzero(dense)
+        assert_storage(m, (nz_rows, nz_cols, dense[nz_rows, nz_cols]))
+        assert m.rows.dtype == m.indices.dtype == np.int32 and m.values.dtype == np.int8
+        assert m.nnz == nz_rows.size
+        assert np.array_equal(m.to_dense(), dense)
+
+    def test_derived_triplets_at_largest_signed_column(self):
+        """The signed column 2**31 - 1, column 2**30 - 1 with value -1,
+        derives without overflow (no to_dense: it would allocate 8 GiB)."""
+        m = SparseSignMatrix(1, 2**30, 0.5, np.array([1]), np.array([2**31 - 1], np.int32))
+        assert_storage(m, ([0], [2**30 - 1], [-1]))
+
+    def test_holds_only_the_layout(self):
+        """A built matrix references 4 bytes per nonzero (its diagonals)
+        and 8 per row (order): no triplets and no copy of its inputs."""
+        hand_built = explicit_matrix([[1, 0, -1], [0, 0, 0], [-1, 1, 1]])
+        for m in (sample_matrix(3000, 433, 0.05, 42), hand_built):
+            assert held_bytes(m) <= 4 * m.nnz + 8 * m.n_rows + 64
+
+    def test_sampling_peak_memory(self):
+        """Sampling holds at most two nnz-length int32 arrays (the signed
+        columns and the diagonals built from them) plus one block of
+        uniforms; the slack covers row-length arrays and the last block's
+        temporaries."""
+        tracemalloc.start()
+        try:
+            m = sample_matrix(50000, 433, 0.05, 42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        uniforms = 8 * projection._BLOCK_POSITIONS
+        assert peak <= 2 * 4 * m.nnz + uniforms + 2 * 2**20
 
     def test_frozen(self):
         m = sample_matrix(5, 4, 0.2, 1)

@@ -141,12 +141,7 @@ class TestJlPreservation:
 class TestOperatorNorm:
     def test_zero_matrix(self):
         empty = SparseSignMatrix(
-            4,
-            3,
-            0.05,
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int8),
+            4, 3, 0.05, np.zeros(4, dtype=np.int64), np.empty(0, dtype=np.int32)
         )
         sigma, converged = operator_norm(empty, np.random.default_rng(0))
         assert sigma == 0.0 and converged
