@@ -19,7 +19,7 @@ import numpy as np
 
 from .seeding import check_seed
 
-# an int32 diagonal entry holds c or c + n_cols; derived row ids are int32
+# an int32 diagonal entry holds c or c + n_cols; rows keep the same int32 bound
 _MAX_COLS = 2**30
 _MAX_ROWS = 2**31 - 1
 # uniforms drawn per block of rows, so sampling memory follows the output
@@ -47,13 +47,12 @@ class SparseSignMatrix:
     stream, so generation order cannot change the result. It is built
     from ``counts``, the entries per row, and ``signed``, every row's
     signed columns (c for +1, c + n_cols for -1) in row-major order as
-    int32; neither is kept. ``order`` lists the rows by nonzero count,
-    longest first and stable, and ``diagonals[j]`` holds, for the
-    leading rows of that order which have a j-th entry, its signed
-    column. ``rows``, ``indices`` and ``values`` derive the row-major
-    triplets from the layout on each access. Fields cannot be reassigned
-    and no function of this module writes into the arrays, so threads
-    may share one matrix.
+    int32; the constructor checks that they agree and keeps neither.
+    ``order`` lists the rows by nonzero count, longest first and stable,
+    and ``diagonals[j]`` holds, for the leading rows of that order which
+    have a j-th entry, its signed column. Fields cannot be reassigned and
+    no function of this module writes into the arrays, so threads may
+    share one matrix.
     """
 
     n_rows: int
@@ -67,6 +66,12 @@ class SparseSignMatrix:
 
     def __post_init__(self, counts, signed):
         _check_shape(self.n_rows, self.n_cols)
+        if counts.shape != (self.n_rows,) or counts.min(initial=0) < 0:
+            raise ValueError(f"counts must be {self.n_rows} nonnegative row lengths")
+        if signed.shape != (counts.sum(),):
+            raise ValueError(f"signed must hold {counts.sum()} entries, got shape {signed.shape}")
+        if signed.min(initial=0) < 0 or signed.max(initial=0) >= 2 * self.n_cols:
+            raise ValueError(f"signed columns must lie in [0, {2 * self.n_cols})")
         top = counts.max(initial=0)
         # a stable sort of keys of 16 bits or fewer is a radix sort
         order = np.argsort((top - counts).astype(np.min_scalar_type(top)), kind="stable")
@@ -80,29 +85,12 @@ class SparseSignMatrix:
         object.__setattr__(self, "diagonals", diagonals)
         object.__setattr__(self, "nnz", int(signed.shape[0]))
 
-    def _triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row ids (int32), columns (int32) and values (int8) in row-major order."""
-        lengths = [diagonal.shape[0] for diagonal in self.diagonals]
-        counts = np.empty(self.n_rows, dtype=np.int64)
-        # the row at position s of order has an entry in each diagonal longer than s
-        counts[self.order] = np.searchsorted(-np.array(lengths), -np.arange(self.n_rows))
-        starts = (np.cumsum(counts) - counts)[self.order]
-        signed = np.empty(self.nnz, dtype=np.int32)
-        for j, diagonal in enumerate(self.diagonals):
-            signed[starts[: diagonal.shape[0]] + j] = diagonal
-        negative, indices = np.divmod(signed, np.int32(self.n_cols))
-        rows = np.repeat(np.arange(self.n_rows, dtype=np.int32), counts)
-        return rows, indices, (1 - 2 * negative).astype(np.int8)
-
-    rows = property(lambda self: self._triplets()[0], doc="int32 row id per entry")
-    indices = property(lambda self: self._triplets()[1], doc="int32 column per entry")
-    values = property(lambda self: self._triplets()[2], doc="int8 sign per entry")
-
     def to_dense(self) -> np.ndarray:
         """Dense float64 copy (for small matrices and oracle checks)."""
-        rows, indices, values = self._triplets()
         out = np.zeros((self.n_rows, self.n_cols))
-        out[rows, indices] = values
+        for diagonal in self.diagonals:
+            negative, cols = np.divmod(diagonal, self.n_cols)
+            out[self.order[: diagonal.shape[0]], cols] = 1 - 2 * negative
         return out
 
 

@@ -54,11 +54,9 @@ class Transform:
     def forward(self, s: np.ndarray) -> np.ndarray:
         """Project s and keep the cap_k largest-magnitude coordinates.
 
-        With cap_k == 0 the input is only checked: the result is zero.
+        The same bits as s's row of any forward_batch.
         """
-        if self.config.cap_k == 0:
-            return self.forward_batch([s])[0]
-        return cap(projection.apply(self.matrix, s), self.config.cap_k)
+        return self.forward_batch([s])[0]
 
     def forward_batch(self, rows) -> np.ndarray:
         """Row-wise forward; preserves row order.

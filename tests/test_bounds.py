@@ -43,7 +43,7 @@ class TestEntryMoments:
         se_zero = math.sqrt(zero_prob * (1.0 - zero_prob) / total)
         assert abs((1.0 - m.nnz / total) - zero_prob) <= 5.0 * se_zero
         se_mean = math.sqrt(variance / total)
-        assert abs(float(m.values.sum(dtype=np.int64)) / total) <= 5.0 * se_mean
+        assert abs(float(m.to_dense().sum()) / total) <= 5.0 * se_mean
 
 
 class TestJlSuccessBound:

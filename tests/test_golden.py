@@ -17,15 +17,17 @@ from flycap import projection
 from flycap.cli import main
 from flycap.projection import sample_matrix
 from flycap.transform import TransformConfig, build
+from test_projection import dense_triplets
 
 GOLDEN = json.loads((Path(__file__).parent / "golden.json").read_text())
 
 
 def storage_digest(n_rows, n_cols, p, seed):
-    """SHA-256 of the little-endian rows, indices and values, in that order."""
-    m = sample_matrix(n_rows, n_cols, p, seed)
+    """SHA-256 of the little-endian row-major row ids and columns (int32)
+    and signs (int8), in that order."""
     h = hashlib.sha256()
-    for array, dtype in ((m.rows, "<i4"), (m.indices, "<i4"), (m.values, "i1")):
+    triplets = dense_triplets(sample_matrix(n_rows, n_cols, p, seed))
+    for array, dtype in zip(triplets, ("<i4", "<i4", "i1")):
         h.update(array.astype(dtype).tobytes())
     return h.hexdigest()
 

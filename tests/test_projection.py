@@ -36,11 +36,16 @@ def fresh_stream_entries(n_rows, n_cols, p, seed):
     return sign_entries(u, p)
 
 
+def dense_triplets(m):
+    """Row ids, columns and signs (int8) of the nonzeros, in row-major order."""
+    dense = m.to_dense()
+    rows, cols = np.nonzero(dense)
+    return rows, cols, dense[rows, cols].astype(np.int8)
+
+
 def assert_storage(m, entries):
-    rows, cols, values = entries
-    assert np.array_equal(m.rows, rows)
-    assert np.array_equal(m.indices, cols)
-    assert np.array_equal(m.values, values)
+    for got, want in zip(dense_triplets(m), entries):
+        assert np.array_equal(got, want)
 
 
 def explicit_matrix(rows):
@@ -95,26 +100,20 @@ class TestSampling:
     def test_deterministic_regeneration(self):
         a = sample_matrix(50, 40, 0.1, 123)
         b = sample_matrix(50, 40, 0.1, 123)
-        assert np.array_equal(a.rows, b.rows)
-        assert np.array_equal(a.indices, b.indices)
-        assert np.array_equal(a.values, b.values)
+        assert a.order.tobytes() == b.order.tobytes()
+        assert [d.tobytes() for d in a.diagonals] == [d.tobytes() for d in b.diagonals]
 
     def test_seed_changes_matrix(self):
         a = sample_matrix(50, 40, 0.1, 123)
         b = sample_matrix(50, 40, 0.1, 124)
-        assert not (
-            np.array_equal(a.indices, b.indices) and np.array_equal(a.values, b.values)
-        )
+        assert not np.array_equal(a.to_dense(), b.to_dense())
 
     def test_rows_have_independent_streams(self):
         """A shorter sample shares its leading rows with a taller one,
         because row i depends only on (seed, i, n_cols)."""
         tall = sample_matrix(30, 25, 0.2, 9)
         short = sample_matrix(6, 25, 0.2, 9)
-        end = np.searchsorted(tall.rows, 6)
-        assert np.array_equal(short.rows, tall.rows[:end])
-        assert np.array_equal(short.indices, tall.indices[:end])
-        assert np.array_equal(short.values, tall.values[:end])
+        assert np.array_equal(short.to_dense(), tall.to_dense()[:6])
 
     def test_blocks_match_per_row_streams(self):
         """Across block boundaries, row i is Philox keyed by (seed, i)
@@ -141,24 +140,19 @@ class TestSampling:
             assert_storage(m, fresh_stream_entries(n_rows, n_cols, p, seed))
 
     def test_storage_invariants(self):
-        """Row ids are nondecreasing, each row holds as many entries as
-        its stream has nonzeros, and columns are sorted within a row."""
+        """Entries are signs, nnz counts them, and each row holds as many
+        as its stream has nonzeros."""
         n_rows, n_cols, p, seed = 80, 61, 0.3, 5
         m = sample_matrix(n_rows, n_cols, p, seed)
-        assert m.rows.shape == m.indices.shape == m.values.shape
-        assert m.rows.dtype == m.indices.dtype == np.int32
-        assert set(np.unique(m.values)) <= {-1, 1}
-        assert np.all(np.diff(m.rows) >= 0)
-        assert m.rows[0] >= 0 and m.rows[-1] < n_rows
-        counts = np.bincount(m.rows, minlength=n_rows)
+        dense = m.to_dense()
+        assert set(np.unique(dense)) <= {-1.0, 0.0, 1.0}
+        counts = np.count_nonzero(dense, axis=1)
+        assert counts.sum() == m.nnz == sum(d.shape[0] for d in m.diagonals)
         for r in range(n_rows):
             u = np.random.Generator(
                 np.random.Philox(key=np.array([seed, r], dtype=np.uint64))
             ).random(n_cols)
             assert counts[r] == np.count_nonzero(u < 2.0 * p * (1.0 - p))
-            cols = m.indices[m.rows == r]
-            assert np.all(np.diff(cols) > 0)
-            assert cols.size == 0 or cols.max() < n_cols
 
     def test_jagged_diagonal_layout(self):
         """order sorts rows by nonzero count, longest first and stable;
@@ -183,22 +177,34 @@ class TestSampling:
         ids=["all_zero", "empty_rows", "one_by_one", "one_row", "one_col", "full_row"],
     )
     def test_derived_triplets_round_trip(self, dense):
-        """rows, indices, values, nnz and to_dense give back what the
-        layout was built from: no diagonals, empty rows between full ones,
-        a single row or column, a row with every column set."""
+        """nnz and to_dense give back what the layout was built from: no
+        diagonals, empty rows between full ones, a single row or column,
+        a row with every column set."""
         dense = np.asarray(dense)
         m = explicit_matrix(dense)
-        nz_rows, nz_cols = np.nonzero(dense)
-        assert_storage(m, (nz_rows, nz_cols, dense[nz_rows, nz_cols]))
-        assert m.rows.dtype == m.indices.dtype == np.int32 and m.values.dtype == np.int8
-        assert m.nnz == nz_rows.size
-        assert np.array_equal(m.to_dense(), dense)
+        assert m.nnz == np.count_nonzero(dense)
+        got = m.to_dense()
+        assert got.dtype == np.float64 and np.array_equal(got, dense)
 
-    def test_derived_triplets_at_largest_signed_column(self):
-        """The signed column 2**31 - 1, column 2**30 - 1 with value -1,
-        derives without overflow (no to_dense: it would allocate 8 GiB)."""
+    def test_constructor_checks_its_arrays(self):
+        """counts of the wrong shape or sign, a total that is not the
+        length of signed, and a signed column outside [0, 2 n_cols) are
+        refused at construction, not at the first product. The largest
+        signed column, 2**31 - 1 (column 2**30 - 1 with value -1), is
+        accepted (no to_dense: it would allocate 8 GiB)."""
+        for n_rows, counts, signed, match in (
+            (3, [1, 1], [0, 3], "counts"),
+            (2, [[1, 1]], [0, 3], "counts"),
+            (2, [2, -1], [0], "counts"),
+            (2, [1, 1], [0], "signed must hold"),
+            (2, [1, 1], [[0, 3]], "signed must hold"),
+            (2, [1, 1], [0, 4], "signed columns"),
+            (2, [1, 1], [-1, 0], "signed columns"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                SparseSignMatrix(n_rows, 2, 0.5, np.array(counts), np.array(signed, np.int32))
         m = SparseSignMatrix(1, 2**30, 0.5, np.array([1]), np.array([2**31 - 1], np.int32))
-        assert_storage(m, ([0], [2**30 - 1], [-1]))
+        assert m.nnz == 1 and m.diagonals[0].tolist() == [2**31 - 1]
 
     def test_holds_only_the_layout(self):
         """A built matrix references 4 bytes per nonzero (its diagonals)
@@ -224,7 +230,7 @@ class TestSampling:
     def test_frozen(self):
         m = sample_matrix(5, 4, 0.2, 1)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            m.rows = np.zeros(m.nnz, dtype=np.int64)
+            m.order = np.arange(m.n_rows)
 
     def test_extreme_p_gives_nearly_empty_matrix(self):
         # zero probability 2p^2 - 2p + 1 approaches 1 as p -> 1
@@ -239,8 +245,9 @@ class TestSampling:
         total = n_rows * n_cols
         m = sample_matrix(n_rows, n_cols, p, 77)
         q = p * (1.0 - p)
-        plus = int(np.sum(m.values == 1))
-        minus = int(np.sum(m.values == -1))
+        dense = m.to_dense()
+        plus = int(np.sum(dense == 1))
+        minus = int(np.sum(dense == -1))
         zero = total - plus - minus
         for observed, prob in ((plus, q), (minus, q), (zero, 1.0 - 2.0 * q)):
             se = math.sqrt(prob * (1.0 - prob) / total)
@@ -252,7 +259,7 @@ class TestSampling:
         m = sample_matrix(2000, 520, p, 11)
         variance = 2.0 * p * (1.0 - p)
         se = math.sqrt(variance / (2000 * 520))
-        assert abs(float(m.values.sum(dtype=np.int64)) / (2000 * 520)) <= 5.0 * se
+        assert abs(float(m.to_dense().sum()) / (2000 * 520)) <= 5.0 * se
 
 
 class TestApply:
@@ -326,7 +333,8 @@ class TestApply:
 def bincount_product(m, x):
     """The former product: one bincount over the triplets, adding each
     row's terms in storage (column) order from 0.0."""
-    return np.bincount(m.rows, weights=x[m.indices] * m.values, minlength=m.n_rows)
+    rows, cols, values = dense_triplets(m)
+    return np.bincount(rows, weights=x[cols] * values, minlength=m.n_rows)
 
 
 def ordered_dense_product(m, x):

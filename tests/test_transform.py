@@ -23,9 +23,9 @@ class TestConfig:
         )
         assert (t.matrix.n_rows, t.matrix.n_cols) == (2000, 433)
         want = sample_matrix(2000, 433, 0.05, t.config.seed)
-        assert np.array_equal(t.matrix.rows, want.rows)
-        assert np.array_equal(t.matrix.indices, want.indices)
-        assert np.array_equal(t.matrix.values, want.values)
+        assert t.matrix.order.tobytes() == want.order.tobytes()
+        got = [d.tobytes() for d in t.matrix.diagonals]
+        assert got == [d.tobytes() for d in want.diagonals]
 
     def test_validation(self):
         with pytest.raises(ValueError):
