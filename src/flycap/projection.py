@@ -19,8 +19,9 @@ import numpy as np
 
 from .seeding import check_seed
 
-# an int32 diagonal entry holds c or c + n_cols; rows keep the same int32 bound
+# an int32 diagonal entry holds c or c + n_cols, so c + n_cols must fit
 _MAX_COLS = 2**30
+# a resource limit on one request; row indices are int64
 _MAX_ROWS = 2**31 - 1
 # uniforms drawn per block of rows, so sampling memory follows the output
 _BLOCK_POSITIONS = 2**20
@@ -31,11 +32,10 @@ _TILE_ENTRIES = 2**16
 def _check_shape(n_rows: int, n_cols: int) -> None:
     if n_rows < 1 or n_cols < 1:
         raise ValueError(f"dimensions must be positive, got {n_rows}x{n_cols}")
-    if n_rows > _MAX_ROWS or n_cols > _MAX_COLS:
-        raise ValueError(
-            f"{n_rows}x{n_cols} overflows the int32 index "
-            f"(at most {_MAX_ROWS} rows and {_MAX_COLS} columns)"
-        )
+    if n_rows > _MAX_ROWS:
+        raise ValueError(f"a matrix holds at most {_MAX_ROWS} rows, got {n_rows}")
+    if n_cols > _MAX_COLS:
+        raise ValueError(f"{n_cols} columns overflow the int32 index (at most {_MAX_COLS} columns)")
 
 
 @dataclass(frozen=True, eq=False)

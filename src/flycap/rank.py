@@ -26,16 +26,17 @@ def _positive_definite(g: np.ndarray) -> bool:
     Rump, BIT 2006). So g = R^T R - dh + cI is positive definite when
     h = g - cI and c, the least power of two above 4(m+1)u tr g, clears
     that bound with margin for the rounding of tr g. As c >= 2^-51 g_jj,
-    each positive g_jj - c is exact; any other fails the Cholesky.
+    each positive g_jj - c is exact; any other fails the Cholesky, so a
+    zero trace, which gives c = 1, fails it. g is overwritten with h, so
+    the Cholesky's output and work copy are its only m x m temporaries.
     Assumes BLAS and LAPACK use no Strassen-type products.
     """
     m = g.shape[0]
     trace = float(np.trace(g))
-    if trace <= 0:
-        return False
     c = 2.0 ** math.frexp(4 * (m + 1) * 2.0**-53 * trace)[1]
+    g.flat[:: m + 1] -= c
     try:
-        np.linalg.cholesky(g - c * np.eye(m))
+        np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -82,10 +83,12 @@ def is_invertible(a: np.ndarray) -> bool:
     if not (a.any(axis=0).all() and a.any(axis=1).all()):
         return False
     amax = max(int(a.max()), -int(a.min()))
-    f = a.astype(np.float64)
-    # m * max|a|^2 <= 2^53 keeps every partial sum of f.T @ f an exact integer
-    if a.shape[0] * amax**2 <= 2**53 and _positive_definite(f.T @ f):
-        return True
+    # m * max|a|^2 <= 2^53 keeps every partial sum of g.T @ g an exact integer
+    if a.shape[0] * amax**2 <= 2**53:
+        g = a.astype(np.float64)
+        g = g.T @ g  # rebinding frees the float copy before the Cholesky
+        if _positive_definite(g):
+            return True
     if _has_signed_twin_rows(a) or _has_signed_twin_rows(a.T):
         return False
     return det_exact(a) != 0

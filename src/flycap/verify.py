@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import projection, rank
-from .bounds import det_lower_threshold, jl_success_bound
+from .bounds import det_lower_threshold, entry_moments, jl_success_bound
 from .seeding import check_seed, derive_rng, derive_seed
 
 # leading stream tags, one per suite, so equal seeds never share streams
@@ -134,7 +134,7 @@ def distance_preserved(
     base = float(diff @ diff)
     if base == 0.0:
         raise ValueError("u and v must differ")
-    sigma2 = 2.0 * matrix.p * (1.0 - matrix.p)
+    sigma2 = entry_moments(matrix.p)[2]
     image = projection.apply(matrix, diff)
     scaled = float(image @ image) / (matrix.n_rows * sigma2)
     return (1.0 - epsilon) * base <= scaled <= (1.0 + epsilon) * base
@@ -185,8 +185,6 @@ def operator_norm(
 
     Returns (sigma, converged); an all-zero matrix reports (0.0, True).
     """
-    if matrix.nnz == 0:
-        return 0.0, True
     dense = matrix.to_dense()
     gram = dense.T @ dense
     v = start_rng.standard_normal(matrix.n_cols)
@@ -216,7 +214,7 @@ def opnorm_scaling(cfg: McConfig, m: int, n_grid) -> SuiteResult:
     n_grid = [int(n) for n in n_grid]
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])) or not n_grid:
         raise ValueError("n_grid must be nonempty and strictly increasing")
-    sigma = math.sqrt(2.0 * cfg.p * (1.0 - cfg.p))
+    sigma = math.sqrt(entry_moments(cfg.p)[2])
     records = []
     for n in n_grid:
         ratios = np.empty(cfg.trials)
@@ -263,8 +261,8 @@ def det_bound_incidence(cfg: McConfig, m: int, epsilon: float) -> SuiteResult:
     for trial in range(cfg.trials):
         rng = derive_rng(cfg.seed, _TAG_DET, m, trial)
         a = sample_square_sign_matrix(rng, m, cfg.p)
-        sign, logdet = np.linalg.slogdet(a.astype(np.float64))
-        if sign != 0 and logdet >= threshold and rank.is_invertible(a):
+        logdet = np.linalg.slogdet(a.astype(np.float64))[1]
+        if logdet >= threshold and rank.is_invertible(a):
             above += 1
     estimate = above / cfg.trials
     record = {

@@ -85,14 +85,16 @@ class TestSampling:
             sample_matrix(2**40, 2**40, 0.1, 1)
 
     def test_int32_index_bounds(self):
-        """Shapes the int32 index cannot address are refused before any
-        allocation; the signed column c + n_cols must stay below 2**31."""
-        with pytest.raises(ValueError, match="int32"):
+        """Shapes past the limits are refused before any allocation: the
+        signed column c + n_cols must stay below 2**31 in int32, and rows,
+        indexed in int64, are capped at 2**31 - 1 as a resource limit."""
+        columns, rows = "int32", f"at most {2**31 - 1} rows"
+        with pytest.raises(ValueError, match=columns):
             sample_matrix(1, 2**30 + 1, 0.05, 0)
-        with pytest.raises(ValueError, match="int32"):
+        with pytest.raises(ValueError, match=rows):
             sample_matrix(2**31, 1, 0.05, 0)
-        for n_rows, n_cols in ((1, 2**30 + 1), (2**31, 1)):
-            with pytest.raises(ValueError, match="int32"):
+        for n_rows, n_cols, match in ((1, 2**30 + 1, columns), (2**31, 1, rows)):
+            with pytest.raises(ValueError, match=match):
                 SparseSignMatrix(
                     n_rows, n_cols, 0.05, np.empty(0, np.int64), np.empty(0, np.int32)
                 )

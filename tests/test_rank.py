@@ -1,5 +1,7 @@
 """Exact invertibility testing against a big-integer determinant oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -128,7 +130,9 @@ class TestIsInvertible:
         assert completed > 0
 
     def test_zero_gram_matrix_is_not_proved(self):
-        assert not _positive_definite(np.zeros((3, 3)))
+        """A zero trace gives c = 1, so the Cholesky of -I fails."""
+        for m in (1, 3, 50):
+            assert not _positive_definite(np.zeros((m, m)))
 
     def test_ill_conditioned_falls_back_to_determinant(self, monkeypatch):
         """Unit upper-triangular with -1 above the diagonal: determinant 1,
@@ -158,6 +162,22 @@ class TestIsInvertible:
         calls = counted_det_exact(monkeypatch)
         assert is_invertible(a)
         assert len(calls) == 1
+
+    def test_proof_holds_two_float_matrices(self):
+        """The Cholesky proof at m=100 holds at most the Gram matrix and the
+        Cholesky's output at once (tracemalloc sees numpy's array data, not
+        LAPACK's work copy): no float copy of a, identity or shifted copy
+        outlives its use. Each such 80 KB temporary adds heap churn that
+        glibc may trim and fault back in on every call."""
+        a = sample_square_sign_matrix(derive_rng(2, _TAG_INVERT, 100, 0), 100, 0.05)
+        assert is_invertible(a)
+        tracemalloc.start()
+        try:
+            is_invertible(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * a.size * 8
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):

@@ -73,6 +73,17 @@ class TestTrain:
         with pytest.raises(ValueError, match="class 1"):
             train(d, TrainSpec())
 
+    def test_class_names_change_nothing_but_the_class_count(self):
+        """Named labels train the same weights; a pinned name with no rows
+        is an empty class."""
+        d = synth_blobs(3, 20, 5, 2.0, 0.3, 7)
+        spec = TrainSpec(lambda_=1e-3, epochs=5, seed=9)
+        named = FeatureDataset(d.features, d.labels, ["a", "b", "c"])
+        assert np.array_equal(train(named, spec), train(d, spec))
+        pinned = FeatureDataset(d.features, d.labels, ["a", "b", "c", "d"])
+        with pytest.raises(ValueError, match="class 3 has no samples"):
+            train(pinned, spec)
+
     def test_deterministic(self):
         d = synth_blobs(3, 20, 10, 1.0, 0.3, 5)
         spec = TrainSpec(lambda_=1e-3, epochs=5, seed=6)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import flycap.verify as verify
 from flycap.projection import SparseSignMatrix, sample_matrix
 from flycap.rank import det_exact
 from flycap.reporting import write_csv, write_json
@@ -154,6 +155,19 @@ class TestOperatorNorm:
             want = np.linalg.svd(m.to_dense(), compute_uv=False)[0]
             assert converged
             assert sigma == pytest.approx(want, rel=1e-5)
+
+    def test_non_convergence_is_reported(self, monkeypatch):
+        """Cut to one step, the iteration returns its first Rayleigh
+        quotient, a lower bound on the norm, flagged as not converged."""
+        monkeypatch.setattr(verify, "_OPNORM_MAX_ITERS", 1)
+        m = sample_matrix(500, 100, 0.05, 3)
+        sigma, converged = operator_norm(m, np.random.default_rng(1))
+        assert not converged
+        assert sigma == pytest.approx(8.455103311089136, rel=1e-9)
+        assert sigma < np.linalg.svd(m.to_dense(), compute_uv=False)[0]
+        cfg = McConfig(trials=3, seed=1, p=0.05)
+        records = opnorm_scaling(cfg, m=20, n_grid=[50, 100]).records
+        assert [rec["unconverged"] for rec in records] == [3, 3]
 
     def test_suite_ratios_under_envelope(self):
         cfg = McConfig(trials=10, seed=42, p=0.05)
