@@ -149,13 +149,16 @@ def _is_int(s: str) -> bool:
 
 def save_csv(d: FeatureDataset, path, invocation: str | None = None) -> None:
     """Write a dataset; floats carry 17 significant digits so that the
-    load_csv round trip is bit-identical."""
+    load_csv round trip is bit-identical. A zero is written "0" or "-0"."""
     lines = []
     if d.class_names is not None:
         lines.append("# classes=" + ",".join(d.class_names))
     for label, row in zip(d.labels, d.features):
         name = d.class_names[label] if d.class_names is not None else str(int(label))
-        lines.append(name + "," + ",".join(f"{v:.17g}" for v in row))
+        cells = np.where(np.signbit(row), "-0", "0").tolist()
+        for j in np.flatnonzero(row).tolist():
+            cells[j] = f"{row[j]:.17g}"
+        lines.append(name + "," + ",".join(cells))
     atomic_write_text(path, "\n".join(lines) + "\n", invocation)
 
 

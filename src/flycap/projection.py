@@ -94,17 +94,16 @@ class SparseSignMatrix:
         return out
 
 
-def sign_entries(u: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzeros of a sign matrix drawn from a 2-D array of uniforms.
+def _support(p: float) -> float:
+    return 2.0 * p * (1.0 - p)  # a uniform below 2p(1-p) draws a nonzero entry
 
-    A uniform below p(1-p) maps to +1, one below 2p(1-p) to -1, and any
-    other to 0. Returns (rows, cols, values) of the nonzeros in row-major
-    order, values as int8.
-    """
-    q = p * (1.0 - p)
-    flat = np.flatnonzero(u < 2.0 * q)
-    rows, cols = np.divmod(flat, u.shape[1])
-    return rows, cols, np.where(u.take(flat) < q, 1, -1).astype(np.int8)
+
+def sign_entries(u: np.ndarray, p: float) -> np.ndarray:
+    """The int8 sign entries of uniforms u, in u's shape: a uniform below
+    p(1-p) maps to +1, one below 2p(1-p) to -1, and any other to 0."""
+    support = _support(p)
+    nonzero = (u < support).view(np.int8)
+    return nonzero - 2 * (nonzero & (u >= 0.5 * support))
 
 
 def sample_matrix(n_rows: int, n_cols: int, p: float, seed: int) -> SparseSignMatrix:
@@ -149,7 +148,9 @@ def sample_matrix(n_rows: int, n_cols: int, p: float, seed: int) -> SparseSignMa
             key[1] = i
             bg.state = state
             gen.random(out=row)
-        local_rows, cols, values = sign_entries(block, p)
+        cols = np.flatnonzero(block < _support(p))  # flat positions, until divmod
+        values = sign_entries(block.take(cols), p)
+        local_rows, cols = np.divmod(cols, n_cols)  # rebinding frees the flat positions
         counts.append(np.bincount(local_rows, minlength=block.shape[0]))
         signed.append(np.where(values < 0, cols + n_cols, cols).astype(np.int32))
     del u, block, row  # the views would keep the uniforms while the layout is built

@@ -79,11 +79,8 @@ def _proportion_stderr(q: float, trials: int) -> float:
 
 
 def sample_square_sign_matrix(rng: np.random.Generator, m: int, p: float) -> np.ndarray:
-    """Dense int64 m x m draw with difference-of-Bernoulli entries, one rng call."""
-    a = np.zeros((m, m), dtype=np.int64)
-    rows, cols, values = projection.sign_entries(rng.random((m, m)), p)
-    a[rows, cols] = values
-    return a
+    """Dense int8 m x m draw, one rng call mapped by `projection.sign_entries`."""
+    return projection.sign_entries(rng.random((m, m)), p)
 
 
 def invertibility_curve(cfg: McConfig) -> SuiteResult:
@@ -100,8 +97,7 @@ def invertibility_curve(cfg: McConfig) -> SuiteResult:
         count = 0
         for trial in range(cfg.trials):
             rng = derive_rng(cfg.seed, _TAG_INVERT, m, trial)
-            if rank.is_invertible(sample_square_sign_matrix(rng, m, cfg.p)):
-                count += 1
+            count += rank.is_invertible(sample_square_sign_matrix(rng, m, cfg.p))
         estimate = count / cfg.trials
         stderr = _proportion_stderr(estimate, cfg.trials)
         if m == 1:
@@ -248,10 +244,10 @@ def opnorm_scaling(cfg: McConfig, m: int, n_grid) -> SuiteResult:
 def det_bound_incidence(cfg: McConfig, m: int, epsilon: float) -> SuiteResult:
     """Fraction of trials whose log|det| clears the closed-form threshold.
 
-    log|det| comes from LU with partial pivoting in double precision
-    (log-domain accumulation). Float LU can leave a tiny pivot on an
-    exactly singular sample, so a clearing sample counts only once
-    `rank.is_invertible` proves it nonsingular. There is no hard pass
+    log|det| comes from LU with partial pivoting of a float64 copy of the
+    int8 draw (log-domain accumulation). Float LU can leave a tiny pivot
+    on an exactly singular sample, so a clearing sample counts only once
+    `rank.is_invertible` proves the int8 draw nonsingular. There is no hard pass
     criterion; the fraction is locked as a seeded regression value.
     """
     if m < 2:

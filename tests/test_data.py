@@ -115,6 +115,23 @@ class TestCsv:
         assert np.array_equal(back.features, d.features)
         assert np.array_equal(back.labels, d.labels)
 
+    def test_bytes_match_formatting_every_entry(self, tmp_path):
+        """Only nonzeros are formatted; the text equals formatting every
+        entry with 17 significant digits, signed zeros and extremes too."""
+        rng = np.random.default_rng(3)
+        features = rng.standard_normal((30, 40)) * (rng.random((30, 40)) < 0.2)
+        features[0, :4] = [-0.0, 0.0, 5e-324, -1e308]
+        features[1] = -0.0
+        d = FeatureDataset(features, rng.integers(0, 4, 30))
+        path = tmp_path / "d.csv"
+        save_csv(d, path)
+        want = "".join(
+            f"{label}," + ",".join(f"{v:.17g}" for v in row) + "\n"
+            for label, row in zip(d.labels, d.features)
+        )
+        assert path.read_text() == want
+        assert np.array_equal(np.signbit(load_csv(path).features), np.signbit(features))
+
     def test_round_trip_with_class_names(self, tmp_path):
         d = FeatureDataset(
             np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1, 0]), ["blues", "metal"]

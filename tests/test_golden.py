@@ -72,7 +72,9 @@ def test_forward_batch_output(case):
     assert hashlib.sha256(out.astype("<f8").tobytes()).hexdigest() == case["sha256"]
 
 
-@pytest.mark.parametrize("case", GOLDEN["cli"], ids=lambda c: c["args"].split(" --")[0])
+@pytest.mark.parametrize(
+    "case", GOLDEN["cli"], ids=lambda c: c.get("id", c["args"].split(" --")[0])
+)
 def test_cli_output(case, tmp_path):
     """SHA-256 of the CSV a command writes, after the `#` invocation line
     (which records the --out path). The invertibility case includes draw

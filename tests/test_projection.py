@@ -26,14 +26,16 @@ def empty_matrix(n_rows=3, n_cols=4):
 
 def fresh_stream_entries(n_rows, n_cols, p, seed):
     """Row i drawn from a fresh Philox keyed by (seed, i), mapped by the
-    shared sign rule: what sample_matrix must store."""
+    shared sign rule: the triplets sample_matrix must store."""
     u = np.stack([
         np.random.Generator(
             np.random.Philox(key=np.array([seed, i], dtype=np.uint64))
         ).random(n_cols)
         for i in range(n_rows)
     ])
-    return sign_entries(u, p)
+    signs = sign_entries(u, p)
+    rows, cols = np.nonzero(signs)
+    return rows, cols, signs[rows, cols]
 
 
 def dense_triplets(m):

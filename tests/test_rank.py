@@ -163,6 +163,19 @@ class TestIsInvertible:
         assert is_invertible(a)
         assert len(calls) == 1
 
+    def test_int8_draws_decide_as_int64(self, monkeypatch):
+        """Criterion 2's first 50 m=100, p=0.05 draws and draw 587 get the
+        same verdict as int8, as the sampler draws them, and as int64; as
+        int8, only draw 587 reaches the determinant, once."""
+        calls = counted_det_exact(monkeypatch)
+        for trial in (*range(50), 587):
+            a = sample_square_sign_matrix(derive_rng(2, _TAG_INVERT, 100, trial), 100, 0.05)
+            assert a.dtype == np.int8
+            want = is_invertible(a.astype(np.int64))
+            calls.clear()
+            assert is_invertible(a) == want
+            assert len(calls) == (trial == 587)
+
     def test_proof_holds_two_float_matrices(self):
         """The Cholesky proof at m=100 holds at most the Gram matrix and the
         Cholesky's output at once (tracemalloc sees numpy's array data, not

@@ -3,6 +3,7 @@ regressions, and determinism of serialized outputs."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,14 +58,26 @@ class TestSquareSampling:
             assert abs(np.mean(a == value) - prob) <= 5 * se
 
     def test_matches_dense_sign_rule(self):
-        """The scattered nonzeros equal the dense mapping of the same
-        uniforms: +1 below p(1-p), -1 below 2p(1-p), else 0."""
+        """The int8 draw equals the dense mapping of the same uniforms:
+        +1 below p(1-p), -1 below 2p(1-p), else 0."""
         for m, p in ((1, 0.05), (37, 0.3), (100, 0.05)):
             a = sample_square_sign_matrix(np.random.default_rng(m), m, p)
             u = np.random.default_rng(m).random((m, m))
             q = p * (1.0 - p)
-            want = np.where(u < q, 1, np.where(u < 2.0 * q, -1, 0)).astype(np.int64)
+            want = np.where(u < q, 1, np.where(u < 2.0 * q, -1, 0)).astype(np.int8)
             assert a.dtype == want.dtype and np.array_equal(a, want)
+
+    def test_draw_holds_under_two_int64_matrices(self):
+        """An m=100 draw holds its uniforms and a few int8 masks at once,
+        not an int64 matrix besides: below 2 x m^2 x 8 bytes traced."""
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            sample_square_sign_matrix(rng, 100, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 100 * 100 * 8
 
 
 class TestInvertibilityCurve:
