@@ -242,14 +242,18 @@ def standardize(
 
     Features with zero variance in train are dropped from both sets.
     Nothing is centred, so zeros stay zeros: `svm.train` centres
-    implicitly on its own train means.
+    implicitly on its own train means. Each set is copied once, as its
+    kept columns, and scaled in place; the inputs are left unchanged.
     """
     if train.n_samples == 0:
         raise ValueError("train set is empty")
     stds = train.features.std(axis=0)
     keep = stds != 0.0
     stds = stds[keep]
-    return (
-        FeatureDataset(train.features[:, keep] / stds, train.labels.copy(), train.class_names),
-        FeatureDataset(test.features[:, keep] / stds, test.labels.copy(), test.class_names),
-    )
+
+    def scale(d: FeatureDataset) -> FeatureDataset:
+        x = d.features[:, keep]
+        x /= stds
+        return FeatureDataset(x, d.labels.copy(), d.class_names)
+
+    return scale(train), scale(test)

@@ -139,14 +139,20 @@ def _run_cell(
     is derived from (spec seed, slot, repeat); the split stream is
     shared across grid points of the same repeat so variants are
     compared on identical partitions.
+
+    The noisy set is split before it is projected (the split reads only
+    labels, and a row projects the same alone as in a batch), and the
+    unscaled sets are released before training, so a cell holds at most
+    about two dense (train + test) x n feature blocks.
     """
     noisy = data.add_noise(
         base, point.noise_sigma, derive_seed(spec.seed, slot, repeat, _TAG_NOISE)
     )
+    split_spec = replace(spec.split, seed=derive_seed(spec.split.seed, repeat))
+    train_set, test_set = data.split(noisy, split_spec)
+    del noisy
 
-    if point.variant == "baseline":
-        features = noisy.features
-    else:
+    if point.variant != "baseline":
         cap_k = point.n if point.variant == "project" else min(point.k, point.n)
         config = TransformConfig(
             input_dim=base.dim,
@@ -155,13 +161,16 @@ def _run_cell(
             cap_k=cap_k,
             seed=derive_seed(spec.seed, slot, repeat, _TAG_MATRIX),
         )
-        features = build(config).forward_batch(noisy.features)
-    working = FeatureDataset(features, noisy.labels, noisy.class_names)
-    sparsity = float(np.mean(working.features != 0.0))
+        transform = build(config)
+        train_set, test_set = (
+            FeatureDataset(transform.forward_batch(d.features), d.labels, d.class_names)
+            for d in (train_set, test_set)
+        )
+    nonzero = np.count_nonzero(train_set.features) + np.count_nonzero(test_set.features)
+    sparsity = nonzero / (train_set.features.size + test_set.features.size)
 
-    split_spec = replace(spec.split, seed=derive_seed(spec.split.seed, repeat))
-    train_set, test_set = data.split(working, split_spec)
     train_z, test_z = data.standardize(train_set, test_set)
+    del train_set, test_set
     train_spec = replace(spec.train, seed=derive_seed(spec.train.seed, slot, repeat))
     weights = svm.train(train_z, train_spec)
     return svm.evaluate(weights, test_z), sparsity

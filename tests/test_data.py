@@ -302,6 +302,23 @@ class TestStandardize:
         assert np.array_equal(test_z.features, expected)
         assert test_z.features.std() < 0.2  # far from unit std on itself
 
+    @pytest.mark.parametrize("constant_column", [False, True])
+    def test_inputs_unchanged_and_unshared(self, constant_column):
+        """The outputs are new arrays, with every column kept or one
+        dropped, and the inputs keep every byte."""
+        d = synth_blobs(3, 20, 5, 1.0, 0.5, 16)
+        if constant_column:
+            d.features[:, 1] = 2.0
+        train, test = split(d, SplitSpec(train_fraction=0.75, seed=3))
+        before = [(s.features.tobytes(), s.labels.tobytes()) for s in (train, test)]
+        out = standardize(train, test)
+        assert out[0].dim == (4 if constant_column else 5)
+        assert [(s.features.tobytes(), s.labels.tobytes()) for s in (train, test)] == before
+        for given in (train, test):
+            for made in out:
+                assert not np.shares_memory(made.features, given.features)
+                assert not np.shares_memory(made.labels, given.labels)
+
     def test_empty_train_rejected(self):
         empty = FeatureDataset(np.empty((0, 3)), np.empty(0, dtype=int))
         with pytest.raises(ValueError):

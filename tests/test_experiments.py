@@ -1,8 +1,12 @@
 """Sweep orchestration: seeding, report schema, figure tables."""
 
+import tracemalloc
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from flycap import experiments
 from flycap.data import SplitSpec, save_csv, synth_blobs
 from flycap.experiments import (
     ExperimentReport,
@@ -153,6 +157,49 @@ class TestRunSweep:
         keys = ("n", "k", "acc_mean", "acc_std", "sparsity")
         assert [tuple(rec[key] for key in keys) for rec in report.records] == expected
 
+    def test_seeded_noise_sweep_regression(self):
+        """Pinned seeded results of a small noise sweep over two repeats:
+        baseline, projection and cap at sigma 0 and 0.75, and k=0."""
+        spec = SweepSpec(
+            grid=preset_grid("noise", (0.0, 0.75), p=0.1, k=4, n_fixed=(32,))
+            + [GridPoint(variant="cap", p=0.1, n=32, k=0, noise_sigma=0.75)],
+            synth=SynthSpec(num_classes=3, per_class=8, dim=10),
+            repeats=2,
+        )
+        report = run_sweep(spec)
+        assert (report.baseline["acc_mean"], report.baseline["acc_std"]) == (1.0, 0.0)
+        expected = [
+            ("baseline", 0.0, None, 1.0, 0.0, 1.0),
+            ("project", 0.0, None, 1.0, 0.0, 0.78125),
+            ("cap", 0.0, 4, 0.9166666666666667, 0.08333333333333331, 0.125),
+            ("baseline", 0.75, None, 0.8333333333333334, 0.0, 1.0),
+            ("project", 0.75, None, 0.5, 0.16666666666666666, 0.875),
+            ("cap", 0.75, 4, 0.75, 0.08333333333333337, 0.125),
+            ("cap", 0.75, 0, 0.3333333333333333, 0.0, 0.0),
+        ]
+        keys = ("variant", "sigma", "k", "acc_mean", "acc_std", "sparsity")
+        assert [tuple(rec[key] for key in keys) for rec in report.records] == expected
+
+    def test_cap_cell_holds_two_feature_blocks(self):
+        """A cap cell splits before it projects and scales its own copies,
+        so at its peak it holds about two dense (train + test) x n float64
+        blocks: the projected sets and their scaled copies. Projecting
+        before the split held about 3.1."""
+        synth = SynthSpec(num_classes=10, per_class=40, dim=50)
+        point = GridPoint(variant="cap", p=0.05, n=2000, k=20)
+        spec = SweepSpec(grid=(point,), synth=synth, repeats=1, train=TrainSpec(epochs=1))
+        base = synth_blobs(**asdict(synth))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            entry, _ = tracemalloc.get_traced_memory()
+            experiments._run_cell(base, point, spec, 1, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = base.n_samples * point.n * 8
+        assert peak - entry <= 2.5 * block
+
     def test_oversized_k_is_clamped_to_n(self):
         report = run_sweep(
             tiny_spec([GridPoint(variant="cap", p=0.1, n=4, k=100)], repeats=1)
@@ -162,7 +209,6 @@ class TestRunSweep:
     def test_failed_grid_point_carries_context(self, monkeypatch):
         """A failure inside one grid point aborts the sweep and names
         the point."""
-        import flycap.experiments as experiments
         from flycap.experiments import SweepError
 
         original = experiments._run_cell
