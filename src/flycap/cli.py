@@ -71,9 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--n", type=int, required=True, help="projection dimension")
     p_tr.add_argument("--p", type=float, required=True, help="Bernoulli parameter")
     p_tr.add_argument("--k", type=int, required=True, help="cap size")
-    p_tr.add_argument(
-        "--expect-dim", type=int, default=None, help="fail unless the file has this dim"
-    )
 
     p_bounds = sub.add_parser("bounds", help="print a closed-form bound")
     bsub = p_bounds.add_subparsers(dest="bound", required=True)
@@ -136,7 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--axis", default=None, help="override axis values (comma list)")
     p_sw.add_argument("--repeats", type=int, default=5)
     p_sw.add_argument("--n", type=parse_int_grid, default=None,
-                      help="fixed projection dims (default 433,2000; single value for noise)")
+                      help="fixed projection dims (default 433,2000; single value for noise; "
+                      "not for the n grid)")
     p_sw.add_argument("--p", type=float, default=0.05)
     p_sw.add_argument("--k", type=int, default=200)
     p_sw.add_argument("--train-fraction", type=float, default=0.8)
@@ -157,10 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_transform(args, invocation: str) -> int:
     dataset = data.load_csv(args.input)
-    if args.expect_dim is not None and dataset.dim != args.expect_dim:
-        raise ValueError(
-            f"{args.input} has dim {dataset.dim}, expected {args.expect_dim}"
-        )
     config = TransformConfig(
         input_dim=dataset.dim,
         output_dim=args.n,

@@ -197,13 +197,13 @@ def add_noise(d: FeatureDataset, sigma: float, seed: int) -> FeatureDataset:
 
     One Gaussian matrix is drawn per call from the seed's stream, row by
     row in dataset order, so every sample gets its own noise, repeated
-    rows included. sigma = 0 draws nothing and returns a copy.
+    rows included. sigma = 0 draws nothing and returns d itself.
     """
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     seed = check_seed(seed)
     if sigma == 0.0:
-        return FeatureDataset(d.features.copy(), d.labels.copy(), d.class_names)
+        return d
     noisy = d.features + derive_rng(seed).standard_normal(d.features.shape) * sigma
     return FeatureDataset(noisy, d.labels.copy(), d.class_names)
 

@@ -246,7 +246,7 @@ def preset_grid(axis, values=None, *, p, k, n_fixed=None) -> list[GridPoint]:
 
     p and k vary at each fixed n (default 433 and 2000; k is clamped to
     n), n at p, and noise runs baseline, projection and cap at (p, n, k)
-    for each sigma at a single n (default 2000).
+    for each sigma at a single n (default 2000); the n axis refuses n_fixed.
     """
     if axis not in AXES:
         raise ValueError(f"unknown axis {axis!r}; expected one of {sorted(AXES)}")
@@ -259,6 +259,8 @@ def preset_grid(axis, values=None, *, p, k, n_fixed=None) -> list[GridPoint]:
                  {"variant": "cap", "p": p, "n": n, "k": k})
         return [GridPoint(**cell, noise_sigma=sigma) for sigma in values for cell in cells]
     if axis == "n":
+        if n_fixed is not None:
+            raise ValueError(f"the n axis takes its dims as values, not n_fixed={list(n_fixed)}")
         return [GridPoint(variant="project", p=p, n=n) for n in values]
     n_fixed = (433, 2000) if n_fixed is None else n_fixed
     if axis == "p":

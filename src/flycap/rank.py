@@ -4,9 +4,7 @@
    sparse sign matrix is singular).
 2. A Cholesky proves G = a^T a positive definite, so a invertible; when
    m * max|a|^2 <= 2^53 the float64 product G is exact in any order.
-3. Two rows, or two columns, equal up to sign prove singular (about half
-   of the singular sign matrices with no zero line).
-4. Otherwise the exact fraction-free big-integer determinant decides.
+3. Otherwise the exact fraction-free big-integer determinant decides.
 """
 
 from __future__ import annotations
@@ -42,44 +40,44 @@ def _positive_definite(g: np.ndarray) -> bool:
     return True
 
 
-def _has_signed_twin_rows(a: np.ndarray) -> bool:
-    """True proves two rows of a (none of them zero) equal up to sign."""
-    lead = np.sign(a[np.arange(a.shape[0]), (a != 0).argmax(axis=1)])
-    # |x| and sign(x) * lead never overflow, and |x| == |y| iff x == +-y
-    key = np.hstack([np.abs(a), np.sign(a) * lead[:, None]])
-    return np.unique(key, axis=0).shape[0] < a.shape[0]
-
-
-def det_exact(a: np.ndarray) -> int:
-    """Exact integer determinant by Bareiss fraction-free elimination."""
-    mat = [[int(v) for v in row] for row in np.asarray(a)]
-    m = len(mat)
-    if m == 0 or any(len(row) != m for row in mat):
-        raise ValueError("det_exact requires a nonempty square matrix")
-    sign = 1
-    prev = 1
-    for k in range(m - 1):
-        if mat[k][k] == 0:
-            swap = next((i for i in range(k + 1, m) if mat[i][k] != 0), None)
-            if swap is None:
-                return 0
-            mat[k], mat[swap] = mat[swap], mat[k]
-            sign = -sign
-        for i in range(k + 1, m):
-            for j in range(k + 1, m):
-                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
-            mat[i][k] = 0
-        prev = mat[k][k]
-    return sign * mat[m - 1][m - 1]
-
-
-def is_invertible(a: np.ndarray) -> bool:
-    """Exact invertibility of a nonempty square integer matrix (steps above)."""
+def _square_integer(a: np.ndarray) -> np.ndarray:
+    """a as an array, if it is a nonempty square integer matrix."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
     if not np.issubdtype(a.dtype, np.integer):
         raise ValueError(f"expected an integer matrix, got dtype {a.dtype}")
+    return a
+
+
+def det_exact(a: np.ndarray) -> int:
+    """Exact determinant of a nonempty square integer matrix by Bareiss
+    fraction-free elimination (Math. Comp. 1968).
+
+    Each step updates the whole trailing block on Python ints, so no
+    entry overflows and every division is exact.
+    """
+    mat = _square_integer(a).astype(object)
+    sign = 1
+    prev = 1
+    for k in range(mat.shape[0] - 1):
+        if mat[k, k] == 0:
+            below = np.flatnonzero(mat[k + 1 :, k])
+            if below.size == 0:
+                return 0
+            swap = k + 1 + below[0]
+            mat[[k, swap]] = mat[[swap, k]]
+            sign = -sign
+        pivot = mat[k, k]
+        trailing = mat[k + 1 :, k + 1 :]
+        trailing[...] = (trailing * pivot - np.outer(mat[k + 1 :, k], mat[k, k + 1 :])) // prev
+        prev = pivot
+    return sign * mat[-1, -1]
+
+
+def is_invertible(a: np.ndarray) -> bool:
+    """Exact invertibility of a nonempty square integer matrix (steps above)."""
+    a = _square_integer(a)
     if not (a.any(axis=0).all() and a.any(axis=1).all()):
         return False
     amax = max(int(a.max()), -int(a.min()))
@@ -89,6 +87,4 @@ def is_invertible(a: np.ndarray) -> bool:
         g = g.T @ g  # rebinding frees the float copy before the Cholesky
         if _positive_definite(g):
             return True
-    if _has_signed_twin_rows(a) or _has_signed_twin_rows(a.T):
-        return False
     return det_exact(a) != 0

@@ -173,8 +173,8 @@ class TestVerifyCommand:
 
 
 class TestTransformCommand:
-    def make_input(self, tmp_path, dim=12, rows=8):
-        d = synth_blobs(2, rows // 2, dim, 1.0, 0.2, 3)
+    def make_input(self, tmp_path, rows=8):
+        d = synth_blobs(2, rows // 2, 12, 1.0, 0.2, 3)
         path = tmp_path / "in.csv"
         save_csv(d, path)
         return path, d
@@ -214,15 +214,6 @@ class TestTransformCommand:
         first = out.read_bytes()
         main(argv)
         assert out.read_bytes() == first
-
-    def test_dim_mismatch_exits_1(self, tmp_path, capsys):
-        path, _ = self.make_input(tmp_path, dim=12)
-        code = main([
-            "transform", "--input", str(path), "--output", str(tmp_path / "o.csv"),
-            "--n", "30", "--p", "0.1", "--k", "6", "--expect-dim", "433",
-        ])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
 
 
 class TestSynthCommand:
@@ -398,6 +389,16 @@ class TestSweepCommand:
         ])
         assert code == 1
         assert "the noise axis takes a single n" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["synth.csv"]
+
+    def test_n_axis_with_fixed_dims_exits_1(self, tmp_path, capsys):
+        code = main([
+            "sweep", "--dataset", self.synth_csv(tmp_path), "--grid", "n",
+            "--axis", "16", "--n", "500", "--repeats", "1", "--epochs", "1",
+            "--out", str(tmp_path / "n.json"),
+        ])
+        assert code == 1
+        assert "the n axis takes its dims as values" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["synth.csv"]
 
     def test_rerun_is_byte_identical(self, tmp_path):

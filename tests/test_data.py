@@ -192,6 +192,11 @@ class TestAddNoise:
         noisy = add_noise(d, 0.0, 9)
         assert np.array_equal(noisy.features, d.features)
 
+    def test_sigma_zero_returns_the_dataset_itself(self):
+        """No copy at sigma = 0: the sweep's split copies the rows anyway."""
+        d = synth_blobs(2, 10, 8, 1.0, 0.5, 5)
+        assert add_noise(d, 0.0, 9) is d
+
     def test_negative_sigma_rejected(self):
         d = synth_blobs(2, 3, 4, 1.0, 0.1, 5)
         with pytest.raises(ValueError):

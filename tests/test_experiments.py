@@ -274,6 +274,11 @@ class TestPresetGrid:
         with pytest.raises(ValueError, match="single n"):
             preset_grid("noise", (0.5,), p=0.1, k=4, n_fixed=(16, 24))
 
+    def test_n_axis_refuses_fixed_dims(self):
+        """The n axis varies n itself, so a fixed n would be ignored."""
+        with pytest.raises(ValueError, match="n axis"):
+            preset_grid("n", (16, 24), p=0.1, k=4, n_fixed=(500,))
+
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="unknown axis"):
             preset_grid("sigma", p=0.1, k=4)

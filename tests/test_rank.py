@@ -1,12 +1,13 @@
 """Exact invertibility testing against a big-integer determinant oracle."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import flycap.rank as rank
-from flycap.rank import _has_signed_twin_rows, _positive_definite, det_exact, is_invertible
+from flycap.rank import _positive_definite, det_exact, is_invertible
 from flycap.seeding import derive_rng
 from flycap.verify import _TAG_INVERT, sample_square_sign_matrix
 
@@ -27,6 +28,27 @@ def gram(a: np.ndarray) -> np.ndarray:
     """a^T a in float64, exact for the small entries used here."""
     f = a.astype(np.float64)
     return f.T @ f
+
+
+def fraction_det(a: np.ndarray) -> int:
+    """Determinant by Gaussian elimination over the rationals."""
+    rows = [[Fraction(int(v)) for v in row] for row in a]
+    m = len(rows)
+    det = Fraction(1)
+    for k in range(m):
+        pivot = next((i for i in range(k, m) if rows[i][k] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, m):
+            f = rows[i][k] / rows[k][k]
+            if f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    assert det.denominator == 1
+    return int(det)
 
 
 def planted_singular(m: int, p: float, kind: str, seed: int) -> np.ndarray:
@@ -58,9 +80,39 @@ class TestDetExact:
             a = rng.integers(-3, 4, size=(m, m))
             assert det_exact(a) == round(np.linalg.det(a.astype(float)))
 
+    def test_matches_rational_elimination(self):
+        """Sparse and dense draws with m from 7 to 30, so pivots need
+        swaps and entries grow past int64; planted dependencies give
+        determinant 0, and int8 draws hold -128, whose negation wraps."""
+        rng = np.random.default_rng(3)
+        values = np.array([-128, -1, 0, 1, 127], dtype=np.int8)
+        zeros = 0
+        for m in (7, 9, 12, 16, 20, 25, 30):
+            cases = [
+                rng.integers(-3, 4, size=(m, m)) * (rng.random((m, m)) < 0.3),
+                rng.integers(-1000, 1001, size=(m, m)),
+                rng.choice(values, size=(m, m)),
+                *(planted_singular(m, 0.3, kind, m) for kind in
+                  ("duplicate_row", "negated_row", "column_sum")),
+            ]
+            twins = rng.choice(values, size=(m, m))
+            twins[m - 1] = twins[0]
+            for a in (*cases, twins):
+                want = fraction_det(a)
+                assert det_exact(a) == want
+                zeros += want == 0
+        assert zeros >= 4 * 7
+        assert det_exact(np.array([[1, -128], [-1, -128]], dtype=np.int8)) == -256
+        assert det_exact(np.array([[-128, 1], [-128, 1]], dtype=np.int8)) == 0
+        assert det_exact(np.array([[-1, 127], [1, -127]], dtype=np.int8)) == 0
+
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             det_exact(np.zeros((2, 3), dtype=int))
+
+    def test_rejects_float_matrix(self):
+        with pytest.raises(ValueError, match="integer"):
+            det_exact(np.eye(3))
 
 
 class TestIsInvertible:
@@ -88,22 +140,14 @@ class TestIsInvertible:
         assert is_invertible(np.diag([2147483647] * 2))
 
     def test_singular_without_zero_row_or_column(self, monkeypatch):
-        """Two rows, or two columns, equal up to sign leave no zero line
-        but prove singular without the exact determinant; a row that is
-        the sum of two others still needs it."""
+        """Two rows, or two columns, equal up to sign, and a row that is the
+        sum of two others leave no zero line; the exact determinant
+        decides each."""
         calls = counted_det_exact(monkeypatch)
         assert not is_invertible(np.array([[1, -1, 1], [-1, 1, -1], [0, 1, 1]]))
         assert not is_invertible(np.array([[1, -1, 0], [1, -1, 1], [0, 0, 1]]))
-        assert calls == []
         assert not is_invertible(np.array([[1, 0, 1], [0, 1, 1], [1, 1, 2]]))
-        assert len(calls) == 1
-
-    def test_signed_twins_at_the_dtype_minimum(self):
-        """-(-128) wraps to -128 in int8; the twin test never negates."""
-        a = np.array([[1, -128], [-1, -128]], dtype=np.int8)
-        assert not _has_signed_twin_rows(a)
-        assert _has_signed_twin_rows(np.array([[-128, 1], [-128, 1]], dtype=np.int8))
-        assert _has_signed_twin_rows(np.array([[-1, 127], [1, -127]], dtype=np.int8))
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("kind", ["duplicate_row", "negated_row", "column_sum"])
     @pytest.mark.parametrize("p", [0.02, 0.1, 0.5])
