@@ -241,9 +241,10 @@ def standardize(
     """Per-feature scaling by the train standard deviation.
 
     Features with zero variance in train are dropped from both sets.
-    Nothing is centred, so zeros stay zeros: `svm.train` centres
-    implicitly on its own train means. Each set is copied once, as its
-    kept columns, and scaled in place; the inputs are left unchanged.
+    Nothing is centred, so zeros stay zeros: `svm.train` centres each
+    row on its own train means. Each set is copied once, as its kept
+    columns in row-major order, and scaled in place; the inputs are left
+    unchanged.
     """
     if train.n_samples == 0:
         raise ValueError("train set is empty")
@@ -252,7 +253,7 @@ def standardize(
     stds = stds[keep]
 
     def scale(d: FeatureDataset) -> FeatureDataset:
-        x = d.features[:, keep]
+        x = d.features.compress(keep, axis=1)
         x /= stds
         return FeatureDataset(x, d.labels.copy(), d.class_names)
 

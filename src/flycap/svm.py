@@ -1,20 +1,20 @@
-"""One-vs-rest linear SVM trained by projected stochastic subgradient.
+"""One-vs-rest linear SVM trained by mini-batch projected subgradient.
 
 Each class gets a binary hinge-loss model with L2 regularization on the
 augmented weight vector [w; b] over features centred on their train
-means, updated with the classic 1/(lambda * t) step size and projected
-onto the ball of radius 1/sqrt(lambda) (Pegasos). `train` returns the
-running average of the iterates, far more stable than the last iterate
-at practical epoch counts, mapped back to the uncentred features (the
-bias absorbs the centring), as one (classes x (dim+1)) weight array with
-the bias last; `predict_batch` and `evaluate` take it.
+means, z = [x - means, 1]. A step averages the hinge subgradient over
+`_BATCH` samples, takes the classic 1/(lambda * t) step and projects onto
+the ball of radius 1/sqrt(lambda): mini-batch Pegasos (Shalev-Shwartz,
+Singer, Srebro & Cotter, Math. Prog. 2011, sec. 2.3). `train` returns
+the running average of the iterates, far more stable than the last
+iterate at practical epoch counts, mapped back to the uncentred features
+(the bias absorbs the centring), as one (classes x (dim+1)) weight array
+with the bias last; `predict_batch` and `evaluate` take it.
 
-A step costs O(nonzeros of the sample) plus O(classes): the weights are
-kept in scaled form (Shalev-Shwartz et al., Math. Prog. 2011, sec. 2.4),
-their average lazily (Xu, arXiv:1107.2490), and the centring implicit,
-so sparse features such as capped ones stay sparse. All class models
-share the seed-derived visit order, so they are updated together in one
-vectorized pass while remaining independent.
+All class models share the seed-derived batches, so a step updates them
+together in a few dense contractions while they remain independent.
+Columns that are zero throughout train take no part in them and get
++0.0 weights, so padding a dataset with zero columns changes no bit.
 """
 
 from __future__ import annotations
@@ -42,11 +42,7 @@ class TrainSpec:
         check_seed(self.seed)
 
 
-# Below this weight scale the average is flushed and the scale folded into
-# the stored vector. One projection can cut the scale ~1e4-fold, and the
-# flushed sum loses ~eps / scale to cancellation: at 1e-3 the weights
-# agree with the explicit centred step to ~4e-12, at 1e-6 only to ~5e-9.
-_FOLD_BELOW = 1e-3
+_BATCH = 16  # samples per step
 
 
 def _canonical_order(d: FeatureDataset) -> np.ndarray:
@@ -77,84 +73,46 @@ def train(d: FeatureDataset, spec: TrainSpec) -> np.ndarray:
         raise ValueError(f"class {empty} has no samples")
 
     order = _canonical_order(d)
-    dim, nc = d.dim, num_classes
-    # each sample as (columns, values) over its nonzeros; a row with no
-    # zero takes a slice, so its step reads and writes the store in place
-    rows = []
-    for i in order:
-        x = d.features[i]
-        cols = np.flatnonzero(x)
-        rows.append((slice(None), x) if cols.size == dim else (cols, x[cols]))
-    means = np.zeros(dim)
-    for cols, vals in rows:
-        means[cols] += vals
+    live = np.flatnonzero(np.any(d.features, axis=0))
+    # standardize keeps no zero column, so its output is never copied here
+    x = d.features if live.size == d.dim else d.features.take(live, axis=1)
+    width = live.size
+    means = np.zeros(width)
+    for i in order:  # summed in canonical order, so the row order changes no bit
+        means += x[i]
     means /= d.n_samples
-    labels = d.labels[order]
     # targets[i, c] = +1 if sample i belongs to class c else -1
-    targets = np.where(np.arange(nc)[None, :] == labels[:, None], 1.0, -1.0)
-    # The centred sample is z = [x - means, 1] = [x, 0] - u, u = [means, -1].
-    # z_dot and z_add are its weights on the store rows a step reads and
-    # writes (see below), and sq_z is |z|^2, whose zeros of x add the rest
-    # of |means|^2. fsum is exact, so all-zero columns change no bit.
-    sq_m = math.fsum(means * means)
-    steps = []
-    for (cols, vals), y in zip(rows, targets):
-        at_means = means[cols]
-        mx = (at_means * vals).sum()
-        sq_z = ((vals - at_means) ** 2).sum() + (sq_m - (at_means * at_means).sum()) + 1.0
-        if not isinstance(cols, slice):
-            cols = np.append(cols, (dim, dim + 1))
-        z_dot = np.append(vals, (sq_m + 1.0 - mx, -1.0))
-        z_add = np.append(vals, (1.0, mx))[:, None, None]
-        steps.append((cols, z_dot, z_add, sq_z, y))
+    targets = np.where(np.arange(num_classes) == d.labels[:, None], 1.0, -1.0)
 
     lam = spec.lambda_
     radius = 1.0 / math.sqrt(lam)
-    # Per class, the weights are scale * v with v = [V, 0] - c * u, and the
-    # sum of the iterates is flushed + scale_sum * v - ([B, 0] - b * u).
-    # store[:, 0] holds V with c in row dim, store[:, 1] holds B with b in
-    # row dim, and row dim + 1 holds V.means and B.means. So one gather of
-    # a sample's rows gives v.z = V.x + c * (|means|^2 + 1 - means.x) - V.means,
-    # and one scatter adds step * z to v and scale_sum * step * z to B,
-    # which keeps the sum unchanged.
-    store = np.zeros((dim + 2, 2, nc))
-    flushed = np.zeros((dim + 2, nc))
-    scale = np.ones(nc)
-    lift = np.ones((2, nc))  # a step's multiplier into V and into B
-    scale_sum = lift[1]
-    scale_sum[:] = 0.0
-    sq_v = np.zeros(nc)
+    weights = np.zeros((num_classes, width + 1))
+    averaged = np.zeros_like(weights)
+    # one buffer for every batch's rows z, with the bias column left at 1
+    batch = np.ones((_BATCH, width + 1))
     rng = derive_rng(spec.seed)
     t = 0
     for _ in range(spec.epochs):
-        for i in rng.permutation(d.n_samples):
+        visits = order[rng.permutation(d.n_samples)]
+        for start in range(0, d.n_samples, _BATCH):
+            rows = visits[start : start + _BATCH]
+            z = batch[: rows.size]
+            np.subtract(x[rows], means, out=z[:, :width])
+            y = targets[rows]
             t += 1
-            at, z_dot, z_add, sq_z, y = steps[i]
-            got = store[at]
-            # einsum's fixed-order reduction keeps scores thread-independent
-            vz = np.einsum("ij,i->j", got[:, 0], z_dot)
-            active = y * scale * vz < 1.0
-            if t > 1:  # at t = 1 the weights are zero and the shrink to 0 a no-op
-                scale *= 1.0 - 1.0 / t
-            step = (active * y) / (scale * (lam * t))
-            sq_v += step * (2.0 * vz + step * sq_z)
-            got += z_add * (lift * step)
-            store[at] = got
-            norms = scale * np.sqrt(np.maximum(sq_v, 0.0))
-            scale *= radius / np.maximum(norms, radius)
-            scale_sum += scale
-            if scale.min() < _FOLD_BELOW:
-                flushed += scale_sum * store[:, 0] - store[:, 1]
-                store[:, 1] = 0.0
-                scale_sum[:] = 0.0
-                store[:, 0] *= scale
-                sq_v *= scale * scale
-                scale[:] = 1.0
-    flushed += scale_sum * store[:, 0] - store[:, 1]
-    averaged = flushed[: dim + 1] / t
-    w = averaged[:dim] - averaged[dim] * means[:, None]
-    bias = averaged[dim] - np.einsum("ij,i->j", w, means)
-    return np.ascontiguousarray(np.vstack([w, bias]).T)
+            # einsum's fixed-order reductions keep scores thread-independent,
+            # which BLAS @ does not
+            active = y * np.einsum("bj,cj->bc", z, weights) < 1.0
+            weights *= 1.0 - 1.0 / t
+            weights += np.einsum("bc,bj->cj", active * y, z) / (lam * t * rows.size)
+            norms = np.sqrt(np.einsum("cj,cj->c", weights, weights))
+            weights *= (radius / np.maximum(norms, radius))[:, None]
+            averaged += (weights - averaged) / t
+    w = averaged[:, :width]
+    out = np.zeros((num_classes, d.dim + 1))
+    out[:, live] = w
+    out[:, -1] = averaged[:, width] - np.einsum("cj,j->c", w, means)
+    return out
 
 
 def predict_batch(weights: np.ndarray, features: np.ndarray) -> np.ndarray:

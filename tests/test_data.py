@@ -324,6 +324,17 @@ class TestStandardize:
                 assert not np.shares_memory(made.features, given.features)
                 assert not np.shares_memory(made.labels, given.labels)
 
+    @pytest.mark.parametrize("constant_column", [False, True])
+    def test_outputs_are_row_major(self, constant_column):
+        """The kept columns come back C-contiguous, so a row of them is one
+        contiguous run for `svm.train` to gather."""
+        d = synth_blobs(3, 20, 5, 1.0, 0.5, 16)
+        if constant_column:
+            d.features[:, 1] = 2.0
+        train, test = split(d, SplitSpec(train_fraction=0.75, seed=3))
+        for made in standardize(train, test):
+            assert made.features.flags.c_contiguous
+
     def test_empty_train_rejected(self):
         empty = FeatureDataset(np.empty((0, 3)), np.empty(0, dtype=int))
         with pytest.raises(ValueError):
