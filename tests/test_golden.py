@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flycap import projection
+from flycap import data, projection
 from flycap.cli import main
 from flycap.projection import sample_matrix
 from flycap.transform import TransformConfig, build
@@ -82,4 +82,21 @@ def test_cli_output(case, tmp_path):
     out = tmp_path / "out.csv"
     assert main([*shlex.split(case["args"]), "--out", str(out)]) == 0
     body = out.read_bytes().split(b"\n", 1)[1]
+    assert hashlib.sha256(body).hexdigest() == case["sha256"]
+
+
+@pytest.mark.parametrize("case", GOLDEN["pipeline"], ids=lambda c: c["id"])
+def test_pipeline_output(case, tmp_path, monkeypatch):
+    """SHA-256 of the file a command writes from a `synth` dataset, after
+    the `#` invocation line. The run's directory is the working directory,
+    so the dataset path the sweep echoes is always `data.csv`; `names`,
+    when given, relabels the classes before the command reads them."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", *shlex.split(case["synth"]), "--out", "data.csv"]) == 0
+    if case["names"] is not None:
+        d = data.load_csv("data.csv")
+        named = data.FeatureDataset(d.features, d.labels, case["names"].split(","))
+        data.save_csv(named, "data.csv")
+    assert main(shlex.split(case["args"])) == 0
+    body = (tmp_path / case["out"]).read_bytes().split(b"\n", 1)[1]
     assert hashlib.sha256(body).hexdigest() == case["sha256"]
