@@ -15,32 +15,46 @@ def cap(x: np.ndarray, k: int) -> np.ndarray:
 
     Ties in magnitude are broken toward the lower index, which makes
     the operation deterministic and idempotent. k = 0 yields the zero
-    vector; k >= len(x) is the identity. Selection uses an
-    expected-linear-time partition of the magnitudes rather than a full
-    sort.
+    vector; k >= len(x) is the identity. This is the scatter of
+    `kept_columns`.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"expected a vector, got shape {x.shape}")
+    columns = kept_columns(x[None, :], k)[0]
+    out = np.zeros(x.shape[0])
+    out[columns] = x[columns]
+    return out
+
+
+def kept_columns(x: np.ndarray, k: int) -> np.ndarray:
+    """The columns `cap` keeps in each row of a 2-D array, as int32
+    (rows x min(k, n)), ascending in each row.
+
+    Selection uses an expected-linear-time partition of each row's
+    magnitudes rather than a full sort. k >= n keeps every column and
+    returns a broadcast view of one arange.
+    """
     if not np.all(np.isfinite(x)):
-        raise ValueError("input vector has non-finite entries")
+        raise ValueError("input has non-finite entries")
     k = int(k)
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-
-    n = x.shape[0]
-    if k == 0:
-        return np.zeros(n)
+    rows, n = x.shape
     if k >= n:
-        return x.copy()
+        return np.broadcast_to(np.arange(n, dtype=np.int32), (rows, n))
+    if k == 0:
+        return np.empty((rows, 0), dtype=np.int32)
 
     mags = np.abs(x)
-    threshold = np.partition(mags, n - k)[n - k]
+    threshold = np.partition(mags, n - k, axis=1)[:, n - k, None]
     keep = mags > threshold
-    need = k - np.count_nonzero(keep)
-    if need > 0:
-        keep[np.flatnonzero(mags == threshold)[:need]] = True
-    return np.where(keep, x, 0.0)
+    if np.count_nonzero(keep) < rows * k:  # ties at some row's threshold
+        need = k - np.count_nonzero(keep, axis=1)
+        for i in np.flatnonzero(need):
+            keep[i, np.flatnonzero(mags[i] == threshold[i])[: need[i]]] = True
+    flat = np.flatnonzero(keep).reshape(rows, k)  # row-major, so ascending in each row
+    return (flat - np.arange(0, rows * n, n)[:, None]).astype(np.int32)
 
 
 def cap_error_bound(norm_p_of_x: float, k: int, p_norm: float) -> float:

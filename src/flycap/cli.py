@@ -162,8 +162,11 @@ def _cmd_transform(args, invocation: str) -> int:
         cap_k=min(args.k, args.n),
         seed=args.seed,
     )
-    transformed = build(config).forward_batch(dataset.features)
-    out = data.FeatureDataset(transformed, dataset.labels, dataset.class_names)
+    columns, values = build(config).forward_pairs(dataset.features)
+    dense = config.cap_k == config.output_dim  # every column kept: the values are the rows
+    out = data.FeatureDataset(
+        values, dataset.labels, dataset.class_names, None if dense else columns, args.n
+    )
     data.save_csv(out, args.output, invocation)
     return 0
 

@@ -22,19 +22,45 @@ class CsvFormatError(ValueError):
     pass
 
 
+# rows per dense block that dense_blocks yields
+_BLOCK_ROWS = 16
+
+
 @dataclass(eq=False)
 class FeatureDataset:
-    """Labeled feature vectors; rows are samples."""
+    """Labeled feature vectors; rows are samples.
+
+    Rows are dense, `features` (samples x dim) with `columns` None, or
+    each row holds the same number w of (column, value) pairs: `columns`
+    (samples x w, int32) and their values in `features`, with every
+    other entry zero. That is the ELLPACK layout of capped rows, built
+    by `Transform.forward_pairs` with columns ascending in each row.
+    A row's columns are distinct, except for padding entries, which
+    hold column `dim` and value +0.0 (`standardize` pads where it drops
+    a column).
+    """
 
     features: np.ndarray
     labels: np.ndarray
     class_names: list[str] | None = None
+    columns: np.ndarray | None = None
+    dim: int | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {self.features.shape}")
+        if self.columns is None:
+            if self.dim not in (None, self.features.shape[1]):
+                raise ValueError(f"dense rows of shape {self.features.shape} have dim {self.dim}")
+            self.dim = self.features.shape[1]
+        else:
+            self.columns = np.asarray(self.columns, dtype=np.int32)
+            if self.columns.shape != self.features.shape:
+                raise ValueError("columns must match the shape of features")
+            if self.dim is None:
+                raise ValueError("rows of pairs need their dim")
         if self.labels.ndim != 1 or self.labels.shape[0] != self.features.shape[0]:
             raise ValueError("labels must align with feature rows")
         if self.labels.size and self.labels.min() < 0:
@@ -48,10 +74,6 @@ class FeatureDataset:
         return self.features.shape[0]
 
     @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
-    @property
     def num_classes(self) -> int:
         if self.class_names is not None:
             return len(self.class_names)
@@ -59,9 +81,28 @@ class FeatureDataset:
 
     def take(self, indices) -> "FeatureDataset":
         indices = np.asarray(indices, dtype=np.int64)
+        columns = None if self.columns is None else self.columns[indices]
         return FeatureDataset(
-            self.features[indices], self.labels[indices], self.class_names
+            self.features[indices], self.labels[indices], self.class_names, columns, self.dim
         )
+
+    def dense_blocks(self, order=None):
+        """Yield the rows at `order` (default: every row, in turn) as dense
+        (rows x dim) blocks of up to 16 rows, which the caller may
+        overwrite. Pairs are scattered into one reused buffer, so use each
+        block before asking for the next."""
+        order = np.arange(self.n_samples) if order is None else order
+        if self.columns is not None:
+            buffer = np.empty((_BLOCK_ROWS, self.dim + 1))  # the last column takes padding
+        for start in range(0, order.size, _BLOCK_ROWS):
+            rows = order[start : start + _BLOCK_ROWS]
+            if self.columns is None:
+                yield self.features[rows]
+                continue
+            block = buffer[: rows.size]
+            block.fill(0.0)
+            np.put_along_axis(block, self.columns[rows], self.features[rows], axis=1)
+            yield block[:, : self.dim]
 
 
 @dataclass(frozen=True)
@@ -148,16 +189,20 @@ def _is_int(s: str) -> bool:
 
 
 def save_csv(d: FeatureDataset, path, invocation: str | None = None) -> None:
-    """Write a dataset; floats carry 17 significant digits so that the
-    load_csv round trip is bit-identical. A zero is written "0" or "-0"."""
+    """Write a dataset as dense rows; floats carry 17 significant digits
+    so that the load_csv round trip is bit-identical. A zero is written
+    "0" or "-0"."""
     lines = []
     if d.class_names is not None:
         lines.append("# classes=" + ",".join(d.class_names))
-    for label, row in zip(d.labels, d.features):
+    for i, label in enumerate(d.labels):
         name = d.class_names[label] if d.class_names is not None else str(int(label))
-        cells = np.where(np.signbit(row), "-0", "0").tolist()
-        for j in np.flatnonzero(row).tolist():
-            cells[j] = f"{row[j]:.17g}"
+        row = d.features[i]
+        written = np.flatnonzero((row != 0.0) | np.signbit(row))
+        columns = written if d.columns is None else d.columns[i, written]
+        cells = ["0"] * d.dim
+        for j, value in zip(columns.tolist(), row[written].tolist()):
+            cells[j] = f"{value:.17g}"
         lines.append(name + "," + ",".join(cells))
     atomic_write_text(path, "\n".join(lines) + "\n", invocation)
 
@@ -242,19 +287,42 @@ def standardize(
 
     Features with zero variance in train are dropped from both sets.
     Nothing is centred, so zeros stay zeros: `svm.train` centres each
-    row on its own train means. Each set is copied once, as its kept
-    columns in row-major order, and scaled in place; the inputs are left
-    unchanged.
+    row on its own train means. The standard deviation sums the dense
+    rows one at a time in row order, as numpy's `std(axis=0)` does for
+    two or more columns, over dense blocks, so no dense copy of a set
+    is made. Each set is copied once, in its own layout, and scaled in
+    place; a pair in a dropped column becomes padding. The inputs are
+    left unchanged.
     """
     if train.n_samples == 0:
         raise ValueError("train set is empty")
-    stds = train.features.std(axis=0)
+    means = np.zeros(train.dim)
+    for block in train.dense_blocks():
+        for row in block:
+            means += row
+    means /= train.n_samples
+    squares = np.zeros(train.dim)
+    for block in train.dense_blocks():
+        block -= means
+        for row in np.square(block, out=block):
+            squares += row
+    stds = np.sqrt(squares / train.n_samples)
     keep = stds != 0.0
     stds = stds[keep]
+    # slot[j]: column j's index among the kept ones; dropped columns and
+    # padding go to the new padding column
+    slot = np.full(train.dim + 1, stds.size, dtype=np.int32)
+    slot[np.flatnonzero(keep)] = np.arange(stds.size, dtype=np.int32)
 
     def scale(d: FeatureDataset) -> FeatureDataset:
-        x = d.features.compress(keep, axis=1)
-        x /= stds
-        return FeatureDataset(x, d.labels.copy(), d.class_names)
+        if d.columns is None:
+            x = d.features.compress(keep, axis=1)
+            x /= stds
+            return FeatureDataset(x, d.labels.copy(), d.class_names)
+        columns = d.columns if keep.all() else slot[d.columns]
+        x = np.zeros(d.features.shape)
+        kept = columns < stds.size
+        np.divide(d.features, np.append(stds, 1.0)[columns], out=x, where=kept)
+        return FeatureDataset(x, d.labels.copy(), d.class_names, columns, stds.size)
 
     return scale(train), scale(test)

@@ -141,9 +141,12 @@ def _run_cell(
     compared on identical partitions.
 
     The noisy set is split before it is projected (the split reads only
-    labels, and a row projects the same alone as in a batch), and the
-    unscaled sets are released before training, so a cell holds at most
-    about two dense (train + test) x n feature blocks.
+    labels, and a row projects the same alone as in a batch). A capped
+    set is carried as its k (column, value) pairs per row, from the cap
+    through scaling to the classifier, and the unscaled sets are
+    released before training; so beyond the raw features a cap cell
+    holds about two (train + test) x k sets of pairs, never a dense
+    (train + test) x n block.
     """
     noisy = data.add_noise(
         base, point.noise_sigma, derive_seed(spec.seed, slot, repeat, _TAG_NOISE)
@@ -162,12 +165,17 @@ def _run_cell(
             seed=derive_seed(spec.seed, slot, repeat, _TAG_MATRIX),
         )
         transform = build(config)
-        train_set, test_set = (
-            FeatureDataset(transform.forward_batch(d.features), d.labels, d.class_names)
-            for d in (train_set, test_set)
-        )
+
+        def project(d: FeatureDataset) -> FeatureDataset:
+            columns, values = transform.forward_pairs(d.features)
+            dense = cap_k == point.n  # every column kept: the values are the rows
+            return FeatureDataset(
+                values, d.labels, d.class_names, None if dense else columns, point.n
+            )
+
+        train_set, test_set = project(train_set), project(test_set)
     nonzero = np.count_nonzero(train_set.features) + np.count_nonzero(test_set.features)
-    sparsity = nonzero / (train_set.features.size + test_set.features.size)
+    sparsity = nonzero / ((train_set.n_samples + test_set.n_samples) * train_set.dim)
 
     train_z, test_z = data.standardize(train_set, test_set)
     del train_set, test_set

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import projection
-from .cap import cap
+from .cap import cap, kept_columns  # noqa: F401 (perfbench/tracer.py patches `cap` here)
 from .seeding import check_seed
 
-# rows per apply call in forward_batch; apply's tiles keep any block in cache
+# rows per apply call in forward_pairs; apply's tiles keep any block in cache
 _BLOCK_ROWS = 32
 
 
@@ -59,13 +59,25 @@ class Transform:
         return self.forward_batch([s])[0]
 
     def forward_batch(self, rows) -> np.ndarray:
-        """Row-wise forward; preserves row order.
+        """Row-wise forward as dense (rows x output_dim) rows: the scatter
+        of `forward_pairs`; preserves row order."""
+        columns, values = self.forward_pairs(rows)
+        out = np.zeros((values.shape[0], self.config.output_dim))
+        np.put_along_axis(out, columns, values, axis=1)
+        return out
 
-        Rows are projected in blocks of 32 and capped one by one. `apply`
-        sums each row of a block in the same order as a single vector, so
-        a batch equals the per-row loop bit-for-bit; beyond the output, a
-        block takes about 2 x 32 x output_dim floats. With cap_k == 0 the
-        rows are only checked and no product is made.
+    def forward_pairs(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's kept columns and their values, both (rows x cap_k).
+
+        Columns are int32, ascending in each row, as `cap` selects them;
+        values are the projected entries there, explicit zeros included.
+        With cap_k == output_dim the columns are a broadcast view of one
+        arange. Rows are projected in blocks of 32 and each block is
+        capped at once. `apply` sums each row of a block in the same order
+        as a single vector, so a batch equals the per-row loop
+        bit-for-bit; beyond the output, a block takes about
+        2 x 32 x output_dim floats. With cap_k == 0 the rows are only
+        checked and no product is made.
         """
         try:
             rows = np.asarray(rows, dtype=np.float64)
@@ -80,14 +92,22 @@ class Transform:
             )
         if not np.all(np.isfinite(rows)):
             raise ValueError("rows have non-finite entries")
-        out = np.zeros((rows.shape[0], self.config.output_dim))
-        if self.config.cap_k == 0:
-            return out
-        for start in range(0, rows.shape[0], _BLOCK_ROWS):
+        n_rows, k, n = rows.shape[0], self.config.cap_k, self.config.output_dim
+        if k == n:
+            columns = np.broadcast_to(np.arange(n, dtype=np.int32), (n_rows, n))
+        else:
+            columns = np.empty((n_rows, k), dtype=np.int32)
+        values = np.empty((n_rows, k))
+        if k == 0:
+            return columns, values
+        for start in range(0, n_rows, _BLOCK_ROWS):
             projected = projection.apply(self.matrix, rows[start : start + _BLOCK_ROWS])
-            for i, row in enumerate(projected, start):
-                out[i] = cap(row, self.config.cap_k)
-        return out
+            kept = kept_columns(projected, k)
+            stop = start + kept.shape[0]
+            if k < n:
+                columns[start:stop] = kept
+            values[start:stop] = np.take_along_axis(projected, kept, axis=1)
+        return columns, values
 
 
 def build(config: TransformConfig) -> Transform:

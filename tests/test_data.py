@@ -339,3 +339,66 @@ class TestStandardize:
         empty = FeatureDataset(np.empty((0, 3)), np.empty(0, dtype=int))
         with pytest.raises(ValueError):
             standardize(empty, empty)
+
+
+def pairs_sets(seed, dim=40, k=6):
+    """A train and a test set as k (column, value) pairs per row, and the
+    same sets as dense rows. Values hold explicit zeros and -0.0, and
+    train repeats five rows under other labels. Column 0 is 5.0 in every
+    train row; column 7 is stored in train only as zeros, but as
+    nonzeros in every test row."""
+    rng = np.random.default_rng(seed)
+
+    def make(n_rows, fixed):
+        rest = np.setdiff1d(np.arange(dim), fixed)
+        picks = rng.permuted(np.tile(rest, (n_rows, 1)), axis=1)[:, : k - len(fixed)]
+        columns = np.hstack([np.tile(fixed, (n_rows, 1)), picks])
+        columns = np.sort(columns, axis=1).astype(np.int32)
+        values = rng.standard_normal((n_rows, k))
+        values[rng.random(values.shape) < 0.1] = 0.0
+        values[rng.random(values.shape) < 0.1] = -0.0
+        return columns, values, np.arange(n_rows) % 3
+
+    columns, values, labels = make(60, [0])
+    values[:, 0] = 5.0
+    values[columns == 7] = 0.0
+    columns[10:15], values[10:15], labels[10:15] = columns[:5], values[:5], labels[:5] + 1
+    train = FeatureDataset(values, labels % 3, None, columns, dim)
+    columns, values, labels = make(20, [0, 7])
+    values[columns == 7] += 3.0
+    test = FeatureDataset(values, labels, None, columns, dim)
+    return (train, test), tuple(FeatureDataset(dense_rows(d), d.labels) for d in (train, test))
+
+
+def dense_rows(d):
+    """The dense scatter of a set of pairs, one row at a time; padding
+    falls in a column past the last and is dropped."""
+    out = np.zeros((d.n_samples, d.dim + 1))
+    for i in range(d.n_samples):
+        out[i, d.columns[i]] = d.features[i]
+    return out[:, : d.dim]
+
+
+class TestStandardizePairs:
+    def test_pairs_scale_as_their_dense_scatter(self):
+        (train, test), (dense_train, dense_test) = pairs_sets(30)
+        assert np.all(dense_train.features[:, 7] == 0.0)
+        assert np.all(dense_test.features[:, 7] != 0.0)
+        before = [(s.features.tobytes(), s.columns.tobytes()) for s in (train, test)]
+        pairs = standardize(train, test)
+        dense = standardize(dense_train, dense_test)
+        assert [(s.features.tobytes(), s.columns.tobytes()) for s in (train, test)] == before
+        assert pairs[0].dim == pairs[1].dim == dense[0].dim == 38
+        for made, want in zip(pairs, dense):
+            assert made.columns.shape == made.features.shape == (made.n_samples, 6)
+            assert dense_rows(made).tobytes() == want.features.tobytes()
+        # test's pairs in the dropped columns 0 and 7 become padding, +0.0 at column dim
+        padding = pairs[1].columns == pairs[1].dim
+        assert np.all(padding.sum(axis=1) == 2)
+        assert pairs[1].features[padding].tobytes() == np.zeros(40).tobytes()
+
+    def test_save_csv_writes_the_dense_rows(self, tmp_path):
+        (train, _), (dense_train, _) = pairs_sets(31)
+        save_csv(train, tmp_path / "pairs.csv")
+        save_csv(dense_train, tmp_path / "dense.csv")
+        assert (tmp_path / "pairs.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from flycap.data import FeatureDataset, SplitSpec, split, synth_blobs
+from flycap.data import FeatureDataset, SplitSpec, split, standardize, synth_blobs
 from flycap.seeding import derive_rng
-from flycap.svm import _BATCH, TrainSpec, evaluate, predict_batch, train
+from flycap.svm import _BATCH, TrainSpec, _canonical_order, evaluate, predict_batch, train
+from test_data import pairs_sets
 
 
 def assert_close(weights, reference):
@@ -299,3 +300,37 @@ def test_large_column_offset_leaves_weights():
     np.testing.assert_allclose(shifted[:, :-1], w, rtol=0.0, atol=1e-8 * np.abs(w).max())
     expected = predict_batch(weights, test_set.features)
     assert np.array_equal(predict_batch(shifted, test_set.features + 1e6), expected)
+
+
+class TestPairs:
+    """Rows of pairs train as their dense scatter, bit for bit."""
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_train_equals_the_dense_scatter(self, scaled):
+        pairs, dense = pairs_sets(50, dim=150)  # the order sorts three blocks of columns
+        if scaled:
+            pairs, dense = standardize(*pairs), standardize(*dense)
+        assert np.array_equal(_canonical_order(pairs[0]), _canonical_order(dense[0]))
+        spec = TrainSpec(lambda_=1e-2, epochs=4, seed=51)
+        weights = train(pairs[0], spec)
+        assert weights.tobytes() == train(dense[0], spec).tobytes()
+        for made, want in zip(pairs, dense):
+            predicted = predict_batch(weights, made.features, made.columns)
+            assert np.array_equal(predicted, predict_batch(weights, want.features))
+            assert evaluate(weights, made) == evaluate(weights, want)
+
+    def test_order_is_one_lexsort_over_every_column(self):
+        """Repeated rows order by label, then by position."""
+        pairs, dense = pairs_sets(52, dim=150)
+        wide = synth_blobs(3, 20, 150, 1.0, 0.3, 53)
+        wide.features[20:25] = wide.features[:5]
+        for d, reference in ((pairs[0], dense[0]), (wide, wide)):
+            keys = (reference.labels,) + tuple(reference.features[:, ::-1].T)
+            assert np.array_equal(_canonical_order(d), np.lexsort(keys))
+
+    def test_pairs_off_the_model_are_refused(self):
+        pairs, _ = pairs_sets(53)
+        with pytest.raises(ValueError, match="do not match dim"):
+            evaluate(np.zeros((3, 30)), pairs[1])
+        with pytest.raises(ValueError, match="do not fit"):
+            predict_batch(np.zeros((3, 30)), pairs[1].features, pairs[1].columns)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from flycap import projection, transform
+from flycap.cap import cap
 from flycap.projection import apply, sample_matrix
 from flycap.transform import Transform, TransformConfig, build
 
@@ -176,3 +177,69 @@ class TestForwardBatch:
             t.forward_batch(np.zeros((4, 31)))
         with pytest.raises(ValueError, match="expected a 2-D batch"):
             t.forward_batch([])
+
+
+def scatter(columns, values, n):
+    """Dense rows from (column, value) pairs, one row at a time."""
+    out = np.zeros((values.shape[0], n))
+    for i in range(values.shape[0]):
+        out[i, columns[i]] = values[i]
+    return out
+
+
+class TestForwardPairs:
+    """forward_batch is the scatter of forward_pairs, bit for bit."""
+
+    def check(self, t, rows):
+        columns, values = t.forward_pairs(rows)
+        n, k = t.config.output_dim, t.config.cap_k
+        assert columns.dtype == np.int32 and values.dtype == np.float64
+        assert columns.shape == values.shape == (len(rows), k)
+        assert np.all(np.diff(columns, axis=1) > 0)
+        assert np.all((0 <= columns) & (columns < n))
+        assert scatter(columns, values, n).tobytes() == t.forward_batch(rows).tobytes()
+        return columns, values
+
+    def test_k_zero(self):
+        t = build(small_config(cap_k=0))
+        columns, values = self.check(t, np.random.default_rng(20).standard_normal((5, 30)))
+        assert columns.shape == (5, 0)
+
+    def test_k_equal_to_n_holds_one_arange(self):
+        t = build(small_config(cap_k=120))
+        rows = np.random.default_rng(21).standard_normal((40, 30))
+        columns, values = self.check(t, rows)
+        assert columns.strides[0] == 0 and columns.base is not None
+        assert np.array_equal(columns[0], np.arange(120))
+        assert values.tobytes() == apply(t.matrix, rows).tobytes()
+
+    def test_ties_at_the_kth_magnitude(self):
+        """Small integer rows project to integers, so many rows tie at
+        their k-th magnitude; the lower columns win, as in `cap`."""
+        t = build(small_config(bernoulli_p=0.3, cap_k=40))
+        rows = np.random.default_rng(22).integers(-2, 3, (50, 30)).astype(float)
+        columns, values = self.check(t, rows)
+        projected = apply(t.matrix, rows)
+        mags = np.sort(np.abs(projected), axis=1)[:, ::-1]
+        assert np.any(mags[:, 39] == mags[:, 40])
+        assert np.array_equal(scatter(columns, values, 120), [cap(row, 40) for row in projected])
+
+    def test_all_zero_row_keeps_explicit_zeros(self):
+        t = build(small_config())
+        rows = np.zeros((3, 30))
+        rows[1] = np.random.default_rng(23).standard_normal(30)
+        columns, values = self.check(t, rows)
+        for i in (0, 2):
+            assert np.array_equal(columns[i], np.arange(15))
+            assert values[i].tobytes() == np.zeros(15).tobytes()
+
+    def test_negative_zero_inputs(self):
+        """`apply` sums each entry from +0.0, so a row of -0.0 projects
+        to +0.0 entries, all tied: the first k columns are kept."""
+        t = build(small_config())
+        rows = np.full((4, 30), -0.0)
+        rows[2, ::3] = np.random.default_rng(24).standard_normal(10)
+        columns, values = self.check(t, rows)
+        assert np.array_equal(columns[0], np.arange(15))
+        assert values[0].tobytes() == np.zeros(15).tobytes()
+        self.check(build(small_config(cap_k=120)), rows)
