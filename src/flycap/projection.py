@@ -5,7 +5,10 @@ each with probability p(1-p) and 0 otherwise, which is exactly the
 distribution of the difference of two independent Bernoulli(p) draws.
 Entries have mean zero and variance 2p(1-p). Only nonzeros are stored,
 once, in the jagged-diagonal layout the products run over (Saad, SIAM
-J. Sci. Stat. Comput. 1989): 4 bytes per nonzero plus 8 per row.
+J. Sci. Stat. Comput. 1989): 8 bytes per row plus, per nonzero, its
+signed column c or c + n_cols in the narrowest unsigned integer that
+holds 2 n_cols - 1, so 1 byte up to 128 columns, 2 up to 32768 and 4
+beyond.
 Diagonal j holds the j-th entry of every row that has one, so a product
 is a few contiguous passes per cache-sized tile of output rows instead
 of one scattered pass over all nonzeros.
@@ -19,7 +22,8 @@ import numpy as np
 
 from .seeding import check_seed
 
-# an int32 diagonal entry holds c or c + n_cols, so c + n_cols must fit
+# signed columns c + n_cols stay below 2**31, so they also fit the int32
+# arrays a hand-built matrix may pass in
 _MAX_COLS = 2**30
 # a resource limit on one request; row indices are int64
 _MAX_ROWS = 2**31 - 1
@@ -46,8 +50,9 @@ class SparseSignMatrix:
     bit-identical storage: row i is drawn from its own counter-derived
     stream, so generation order cannot change the result. It is built
     from ``counts``, the entries per row, and ``signed``, every row's
-    signed columns (c for +1, c + n_cols for -1) in row-major order as
-    int32; the constructor checks that they agree and keeps neither.
+    signed columns (c for +1, c + n_cols for -1) in row-major order, of
+    any integer type; the constructor checks that they agree, stores
+    the columns in the module's narrow width and keeps neither array.
     ``order`` lists the rows by nonzero count, longest first and stable,
     and ``diagonals[j]`` holds, for the leading rows of that order which
     have a j-th entry, its signed column. Fields cannot be reassigned and
@@ -72,6 +77,8 @@ class SparseSignMatrix:
             raise ValueError(f"signed must hold {counts.sum()} entries, got shape {signed.shape}")
         if signed.min(initial=0) < 0 or signed.max(initial=0) >= 2 * self.n_cols:
             raise ValueError(f"signed columns must lie in [0, {2 * self.n_cols})")
+        # only after the range check: a cast first would wrap -1 to a valid column
+        signed = signed.astype(_width(self.n_cols), copy=False)
         top = counts.max(initial=0)
         # a stable sort of keys of 16 bits or fewer is a radix sort
         order = np.argsort((top - counts).astype(np.min_scalar_type(top)), kind="stable")
@@ -89,9 +96,15 @@ class SparseSignMatrix:
         """Dense float64 copy (for small matrices and oracle checks)."""
         out = np.zeros((self.n_rows, self.n_cols))
         for diagonal in self.diagonals:
+            # float signs: 1 - 2 * negative would wrap in the unsigned width
             negative, cols = np.divmod(diagonal, self.n_cols)
-            out[self.order[: diagonal.shape[0]], cols] = 1 - 2 * negative
+            out[self.order[: diagonal.shape[0]], cols] = 1.0 - 2.0 * negative
         return out
+
+
+def _width(n_cols: int) -> np.dtype:
+    """The narrowest unsigned dtype of a signed column, which is below 2 n_cols."""
+    return np.min_scalar_type(2 * n_cols - 1)
 
 
 def _support(p: float) -> float:
@@ -141,7 +154,7 @@ def sample_matrix(n_rows: int, n_cols: int, p: float, seed: int) -> SparseSignMa
     }
     block_rows = max(1, _BLOCK_POSITIONS // n_cols)
     u = np.empty((min(block_rows, n_rows), n_cols))
-    counts, signed = [], []
+    counts, signed, width = [], [], _width(n_cols)
     for start in range(0, n_rows, block_rows):
         block = u[: min(block_rows, n_rows - start)]
         for i, row in enumerate(block, start):
@@ -152,7 +165,7 @@ def sample_matrix(n_rows: int, n_cols: int, p: float, seed: int) -> SparseSignMa
         values = sign_entries(block.take(cols), p)
         local_rows, cols = np.divmod(cols, n_cols)  # rebinding frees the flat positions
         counts.append(np.bincount(local_rows, minlength=block.shape[0]))
-        signed.append(np.where(values < 0, cols + n_cols, cols).astype(np.int32))
+        signed.append(np.where(values < 0, cols + n_cols, cols).astype(width))
     del u, block, row  # the views would keep the uniforms while the layout is built
     # rebinding drops the pieces before the layout is built
     counts, signed = np.concatenate(counts), np.concatenate(signed)

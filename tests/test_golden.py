@@ -46,8 +46,9 @@ def test_sample_matrix_storage(case):
     "case", GOLDEN["layout"], ids=lambda c: f"{c['n_rows']}x{c['n_cols']}"
 )
 def test_sample_matrix_layout(case):
-    """SHA-256 of the little-endian int64 order, then each int32
-    diagonal in turn: the bytes apply reads."""
+    """SHA-256 of the little-endian int64 order, then each diagonal in
+    turn as little-endian int32: the values apply reads, whatever their
+    stored width."""
     m = sample_matrix(case["n_rows"], case["n_cols"], case["p"], case["seed"])
     h = hashlib.sha256(m.order.astype("<i8").tobytes())
     for diagonal in m.diagonals:

@@ -165,7 +165,7 @@ class TestSampling:
         m = explicit_matrix([[0, 0, 0], [1, 0, -1], [0, -1, 0], [1, 1, 1], [0, 0, 1]])
         assert m.order.tolist() == [3, 1, 2, 4, 0]
         assert [d.tolist() for d in m.diagonals] == [[0, 0, 4, 2], [1, 5], [2]]
-        assert all(d.dtype == np.int32 for d in m.diagonals)
+        assert all(d.dtype == np.uint8 for d in m.diagonals)
         assert empty_matrix().diagonals == ()
 
     @pytest.mark.parametrize(
@@ -210,18 +210,48 @@ class TestSampling:
         m = SparseSignMatrix(1, 2**30, 0.5, np.array([1]), np.array([2**31 - 1], np.int32))
         assert m.nnz == 1 and m.diagonals[0].tolist() == [2**31 - 1]
 
+    def test_range_checked_before_narrowing(self):
+        """At 128 columns the diagonals are uint8, into which -1 and 256
+        would wrap to the valid columns 255 and 0: the int32 inputs are
+        refused before the cast."""
+        for bad in (-1, 256):
+            with pytest.raises(ValueError, match="signed columns"):
+                SparseSignMatrix(1, 128, 0.5, np.array([1]), np.array([bad], np.int32))
+
+    @pytest.mark.parametrize(
+        "n_cols, dtype",
+        [(1, np.uint8), (128, np.uint8), (129, np.uint16), (32768, np.uint16), (32769, np.uint32)],
+    )
+    def test_width_edges(self, n_cols, dtype):
+        """Each side of the uint8 and uint16 limits on 2 n_cols - 1: a
+        sampled matrix and one holding the extreme signed columns 0 and
+        2 n_cols - 1 store that width, decode to signs, and give the
+        exact dense product of integer-valued rows."""
+        edges = SparseSignMatrix(2, n_cols, 0.5, np.array([1, 1]), np.array([0, 2 * n_cols - 1]))
+        rows = np.random.default_rng(n_cols).integers(-9, 10, size=(3, n_cols)).astype(float)
+        for m in (sample_matrix(16, n_cols, 0.3, 5), edges):
+            assert all(d.dtype == dtype for d in m.diagonals)
+            dense = m.to_dense()
+            assert set(np.unique(dense)) <= {-1.0, 0.0, 1.0}
+            assert np.array_equal(apply(m, rows), rows @ dense.T)
+            assert np.array_equal(apply(m, rows[0]), dense @ rows[0])
+
     def test_holds_only_the_layout(self):
-        """A built matrix references 4 bytes per nonzero (its diagonals)
-        and 8 per row (order): no triplets and no copy of its inputs."""
+        """A built matrix references one narrow entry per nonzero (its
+        diagonals, 2 bytes at 433 columns) and 8 bytes per row (order):
+        no triplets and no copy of its inputs."""
+        sampled = sample_matrix(3000, 433, 0.05, 42)
         hand_built = explicit_matrix([[1, 0, -1], [0, 0, 0], [-1, 1, 1]])
-        for m in (sample_matrix(3000, 433, 0.05, 42), hand_built):
-            assert held_bytes(m) <= 4 * m.nnz + 8 * m.n_rows + 64
+        assert sampled.diagonals[0].itemsize == 2
+        for m in (sampled, hand_built):
+            itemsize = m.diagonals[0].itemsize
+            assert held_bytes(m) <= itemsize * m.nnz + 8 * m.n_rows + 64
 
     def test_sampling_peak_memory(self):
-        """Sampling holds at most two nnz-length int32 arrays (the signed
-        columns and the diagonals built from them) plus one block of
-        uniforms; the slack covers row-length arrays and the last block's
-        temporaries."""
+        """Sampling holds at most two nnz-length arrays of narrow entries
+        (the signed columns and the diagonals built from them) plus one
+        block of uniforms; the slack covers row-length arrays and the last
+        block's temporaries."""
         tracemalloc.start()
         try:
             m = sample_matrix(50000, 433, 0.05, 42)
@@ -229,7 +259,7 @@ class TestSampling:
         finally:
             tracemalloc.stop()
         uniforms = 8 * projection._BLOCK_POSITIONS
-        assert peak <= 2 * 4 * m.nnz + uniforms + 2 * 2**20
+        assert peak <= 2 * m.diagonals[0].itemsize * m.nnz + uniforms + 2 * 2**20
 
     def test_frozen(self):
         m = sample_matrix(5, 4, 0.2, 1)
