@@ -48,11 +48,11 @@ def kept_columns(x: np.ndarray, k: int) -> np.ndarray:
 
     mags = np.abs(x)
     threshold = np.partition(mags, n - k, axis=1)[:, n - k, None]
+    # every row has fewer than k above its k-th largest; its lowest ties fill it up
     keep = mags > threshold
-    if np.count_nonzero(keep) < rows * k:  # ties at some row's threshold
-        need = k - np.count_nonzero(keep, axis=1)
-        for i in np.flatnonzero(need):
-            keep[i, np.flatnonzero(mags[i] == threshold[i])[: need[i]]] = True
+    need = k - np.count_nonzero(keep, axis=1)
+    for i in range(rows):
+        keep[i, np.flatnonzero(mags[i] == threshold[i])[: need[i]]] = True
     flat = np.flatnonzero(keep).reshape(rows, k)  # row-major, so ascending in each row
     return (flat - np.arange(0, rows * n, n)[:, None]).astype(np.int32)
 

@@ -162,11 +162,8 @@ def _cmd_transform(args, invocation: str) -> int:
         cap_k=min(args.k, args.n),
         seed=args.seed,
     )
-    columns, values = build(config).forward_pairs(dataset.features)
-    dense = config.cap_k == config.output_dim  # every column kept: the values are the rows
-    out = data.FeatureDataset(
-        values, dataset.labels, dataset.class_names, None if dense else columns, args.n
-    )
+    pairs = build(config).forward_pairs(dataset.features)
+    out = data.FeatureDataset.capped(pairs, dataset.labels, dataset.class_names, args.n)
     data.save_csv(out, args.output, invocation)
     return 0
 

@@ -8,6 +8,7 @@ strings; string labels are mapped to ids in first-seen order unless a
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -34,10 +35,11 @@ class FeatureDataset:
     each row holds the same number w of (column, value) pairs: `columns`
     (samples x w, int32) and their values in `features`, with every
     other entry zero. That is the ELLPACK layout of capped rows, built
-    by `Transform.forward_pairs` with columns ascending in each row.
-    A row's columns are distinct, except for padding entries, which
-    hold column `dim` and value +0.0 (`standardize` pads where it drops
-    a column).
+    by `capped`. A row's columns are distinct, except for padding
+    entries, which hold column `dim` and value zero (`select` pads where
+    it drops a column). Only this class reads the layout: readers take
+    dense rows (`dense`, `dense_blocks`, `row_sum`, `centred_rows`) or
+    column ids (`live_columns`, `select`).
     """
 
     features: np.ndarray
@@ -56,11 +58,16 @@ class FeatureDataset:
                 raise ValueError(f"dense rows of shape {self.features.shape} have dim {self.dim}")
             self.dim = self.features.shape[1]
         else:
-            self.columns = np.asarray(self.columns, dtype=np.int32)
-            if self.columns.shape != self.features.shape:
-                raise ValueError("columns must match the shape of features")
             if self.dim is None:
                 raise ValueError("rows of pairs need their dim")
+            columns = np.asarray(self.columns)
+            if columns.shape != self.features.shape:
+                raise ValueError("columns must match the shape of features")
+            if columns.size and not 0 <= columns.min() <= columns.max() <= self.dim:
+                raise ValueError(f"pair columns must lie in [0, {self.dim}]")
+            self.columns = columns.astype(np.int32, copy=False)
+            if np.any(self.features[self.columns == self.dim]):
+                raise ValueError(f"padding pairs (column {self.dim}) must hold zero")
         if self.labels.ndim != 1 or self.labels.shape[0] != self.features.shape[0]:
             raise ValueError("labels must align with feature rows")
         if self.labels.size and self.labels.min() < 0:
@@ -68,6 +75,13 @@ class FeatureDataset:
         if self.class_names is not None and self.labels.size:
             if self.labels.max() >= len(self.class_names):
                 raise ValueError("label id exceeds class_names")
+
+    @classmethod
+    def capped(cls, pairs, labels, class_names, dim) -> "FeatureDataset":
+        """Rows as `Transform.forward_pairs` gives them, (columns, values):
+        held dense when every column is kept, so the values are the rows."""
+        columns, values = pairs
+        return cls(values, labels, class_names, None if columns.shape[1] == dim else columns, dim)
 
     @property
     def n_samples(self) -> int:
@@ -86,23 +100,95 @@ class FeatureDataset:
             self.features[indices], self.labels[indices], self.class_names, columns, self.dim
         )
 
+    def dense(self, rows, lo=0, hi=None) -> np.ndarray:
+        """The rows at indices `rows` as a new dense (rows x (hi - lo))
+        array of columns lo to hi (default: every column). Pairs cost
+        O(rows x w), whatever the window."""
+        hi = self.dim if hi is None else hi
+        if self.columns is None:
+            return self.features[rows, lo:hi]
+        rows = np.asarray(rows)
+        columns = self.columns[rows]
+        at, pair = np.nonzero((lo <= columns) & (columns < hi))
+        out = np.zeros((rows.size, hi - lo))
+        out[at, columns[at, pair] - lo] = self.features[rows[at], pair]
+        return out
+
     def dense_blocks(self, order=None):
-        """Yield the rows at `order` (default: every row, in turn) as dense
-        (rows x dim) blocks of up to 16 rows, which the caller may
-        overwrite. Pairs are scattered into one reused buffer, so use each
-        block before asking for the next."""
+        """Yield the rows at `order` (default: every row, in turn) as new
+        dense (rows x dim) blocks of up to 16 rows."""
         order = np.arange(self.n_samples) if order is None else order
-        if self.columns is not None:
-            buffer = np.empty((_BLOCK_ROWS, self.dim + 1))  # the last column takes padding
         for start in range(0, order.size, _BLOCK_ROWS):
-            rows = order[start : start + _BLOCK_ROWS]
+            yield self.dense(order[start : start + _BLOCK_ROWS])
+
+    def row_sum(self, order=None, centre=None) -> np.ndarray:
+        """The sum of the dense rows at `order` (default: every row), or of
+        their squared differences from `centre`, added one row at a time."""
+        total = np.zeros(self.dim)
+        for block in self.dense_blocks(order):
+            if centre is not None:
+                np.square(np.subtract(block, centre, out=block), out=block)
+            for row in block:
+                total += row
+        return total
+
+    def live_columns(self) -> np.ndarray:
+        """The ascending ids of the columns with a nonzero in some row."""
+        if self.columns is None:
+            return np.flatnonzero(np.any(self.features, axis=0))
+        return np.unique(self.columns[self.features != 0.0])
+
+    def select(self, columns, scales=None) -> "FeatureDataset":
+        """Only the given columns (ascending ids), renumbered from 0 and
+        each divided by its entry of `scales` when given. The result
+        shares this set's arrays if it keeps every column unscaled, and
+        is built in new arrays otherwise; a pair in a column not given
+        becomes padding."""
+        columns = np.asarray(columns, dtype=np.intp)
+        if self.columns is None:
+            if columns.size == self.dim and scales is None:
+                return self
+            x = self.features.take(columns, axis=1)
+            if scales is not None:
+                x /= scales
+            return FeatureDataset(x, self.labels.copy(), self.class_names)
+        slot = np.full(self.dim + 1, columns.size, dtype=np.int32)
+        slot[columns] = np.arange(columns.size, dtype=np.int32)
+        renumbered = slot[self.columns]
+        x = np.where(renumbered < columns.size, self.features, 0.0)
+        if scales is not None:
+            x /= np.append(scales, 1.0)[renumbered]
+        return FeatureDataset(x, self.labels.copy(), self.class_names, renumbered, columns.size)
+
+    def centred_rows(self, means: np.ndarray, size: int):
+        """A function from at most `size` row indices to those rows minus
+        `means`, as z = [x - means, 1] in the rows of one (size x (dim + 1))
+        buffer that every call overwrites. Each call costs O(size x dim)
+        to fill the buffer, and pairs O(size x w) beyond it.
+
+        An entry a row of pairs does not hold is 0.0 - means, which is
+        what a dense zero gives (and differs from -means in the sign of a
+        zero mean), so pairs give the bits of their dense scatter.
+        """
+        buffer = np.ones((size, self.dim + 1))
+        if self.columns is not None:
+            unstored = 0.0 - means
+            # a padding pair lands on the ones column, which is reset after the scatter
+            centred = self.features - np.append(means, 0.0)[self.columns]
+            flat = buffer.reshape(-1)
+            offsets = np.arange(size)[:, None] * (self.dim + 1)
+
+        def write(rows):
+            z = buffer[: rows.size]
             if self.columns is None:
-                yield self.features[rows]
-                continue
-            block = buffer[: rows.size]
-            block.fill(0.0)
-            np.put_along_axis(block, self.columns[rows], self.features[rows], axis=1)
-            yield block[:, : self.dim]
+                np.subtract(self.features[rows], means, out=z[:, : self.dim])
+            else:
+                z[:, : self.dim] = unstored
+                flat[offsets[: rows.size] + self.columns[rows]] = centred[rows]
+                z[:, self.dim] = 1.0
+            return z
+
+        return write
 
 
 @dataclass(frozen=True)
@@ -195,13 +281,11 @@ def save_csv(d: FeatureDataset, path, invocation: str | None = None) -> None:
     lines = []
     if d.class_names is not None:
         lines.append("# classes=" + ",".join(d.class_names))
-    for i, label in enumerate(d.labels):
+    for label, row in zip(d.labels, itertools.chain.from_iterable(d.dense_blocks())):
         name = d.class_names[label] if d.class_names is not None else str(int(label))
-        row = d.features[i]
         written = np.flatnonzero((row != 0.0) | np.signbit(row))
-        columns = written if d.columns is None else d.columns[i, written]
         cells = ["0"] * d.dim
-        for j, value in zip(columns.tolist(), row[written].tolist()):
+        for j, value in zip(written.tolist(), row[written].tolist()):
             cells[j] = f"{value:.17g}"
         lines.append(name + "," + ",".join(cells))
     atomic_write_text(path, "\n".join(lines) + "\n", invocation)
@@ -287,42 +371,15 @@ def standardize(
 
     Features with zero variance in train are dropped from both sets.
     Nothing is centred, so zeros stay zeros: `svm.train` centres each
-    row on its own train means. The standard deviation sums the dense
-    rows one at a time in row order, as numpy's `std(axis=0)` does for
-    two or more columns, over dense blocks, so no dense copy of a set
-    is made. Each set is copied once, in its own layout, and scaled in
-    place; a pair in a dropped column becomes padding. The inputs are
-    left unchanged.
+    row on its own train means. The statistics add dense rows one at a
+    time in row order, as numpy's `std(axis=0)` does for two or more
+    columns, so no dense copy of a set is made; `select` copies each set
+    once, in its own layout. The inputs are left unchanged.
     """
     if train.n_samples == 0:
         raise ValueError("train set is empty")
-    means = np.zeros(train.dim)
-    for block in train.dense_blocks():
-        for row in block:
-            means += row
-    means /= train.n_samples
-    squares = np.zeros(train.dim)
-    for block in train.dense_blocks():
-        block -= means
-        for row in np.square(block, out=block):
-            squares += row
-    stds = np.sqrt(squares / train.n_samples)
-    keep = stds != 0.0
-    stds = stds[keep]
-    # slot[j]: column j's index among the kept ones; dropped columns and
-    # padding go to the new padding column
-    slot = np.full(train.dim + 1, stds.size, dtype=np.int32)
-    slot[np.flatnonzero(keep)] = np.arange(stds.size, dtype=np.int32)
-
-    def scale(d: FeatureDataset) -> FeatureDataset:
-        if d.columns is None:
-            x = d.features.compress(keep, axis=1)
-            x /= stds
-            return FeatureDataset(x, d.labels.copy(), d.class_names)
-        columns = d.columns if keep.all() else slot[d.columns]
-        x = np.zeros(d.features.shape)
-        kept = columns < stds.size
-        np.divide(d.features, np.append(stds, 1.0)[columns], out=x, where=kept)
-        return FeatureDataset(x, d.labels.copy(), d.class_names, columns, stds.size)
-
-    return scale(train), scale(test)
+    means = train.row_sum() / train.n_samples
+    stds = np.sqrt(train.row_sum(centre=means) / train.n_samples)
+    keep = np.flatnonzero(stds)
+    scales = stds[keep]
+    return train.select(keep, scales), test.select(keep, scales)

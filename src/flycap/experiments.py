@@ -167,11 +167,8 @@ def _run_cell(
         transform = build(config)
 
         def project(d: FeatureDataset) -> FeatureDataset:
-            columns, values = transform.forward_pairs(d.features)
-            dense = cap_k == point.n  # every column kept: the values are the rows
-            return FeatureDataset(
-                values, d.labels, d.class_names, None if dense else columns, point.n
-            )
+            pairs = transform.forward_pairs(d.features)
+            return FeatureDataset.capped(pairs, d.labels, d.class_names, point.n)
 
         train_set, test_set = project(train_set), project(test_set)
     nonzero = np.count_nonzero(train_set.features) + np.count_nonzero(test_set.features)

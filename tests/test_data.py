@@ -402,3 +402,38 @@ class TestStandardizePairs:
         save_csv(train, tmp_path / "pairs.csv")
         save_csv(dense_train, tmp_path / "dense.csv")
         assert (tmp_path / "pairs.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
+
+
+class TestPairsLayout:
+    def test_columns_outside_the_dim_are_refused(self):
+        """-1 would wrap to the padding column and dim + 1 past it, so
+        the constructor refuses both, and a padding pair holding a value."""
+        (train, _), _ = pairs_sets(32)
+        for bad in (-1, train.dim + 1):
+            columns = train.columns.copy()
+            columns[3, 2] = bad
+            with pytest.raises(ValueError, match=r"columns must lie in \[0, 40\]"):
+                FeatureDataset(train.features, train.labels, None, columns, train.dim)
+        columns = train.columns.copy()
+        columns[3, 2] = train.dim
+        with pytest.raises(ValueError, match="padding"):
+            FeatureDataset(train.features + 1.0, train.labels, None, columns, train.dim)
+
+    def test_dense_windows_are_the_dense_scatter(self):
+        (train, _), (dense_train, _) = pairs_sets(33)
+        train = standardize(train, train)[1]  # padding where columns 0 and 7 were
+        dense_train = standardize(dense_train, dense_train)[1]
+        rows = np.random.default_rng(34).permutation(train.n_samples)[:25]
+        for lo, hi in ((0, None), (0, 5), (5, 38), (37, 38), (10, 10)):
+            made, want = train.dense(rows, lo, hi), dense_train.dense(rows, lo, hi)
+            assert made.tobytes() == want.tobytes() == dense_train.features[rows, lo:hi].tobytes()
+
+    def test_capped_rows_are_dense_when_every_column_is_kept(self):
+        labels = np.arange(3)
+        values = np.random.default_rng(35).standard_normal((3, 4))
+        every = np.broadcast_to(np.arange(4, dtype=np.int32), (3, 4))
+        dense = FeatureDataset.capped((every, values), labels, None, 4)
+        assert dense.columns is None and dense.features is values
+        pairs = FeatureDataset.capped((every[:, :2], values[:, :2]), labels, None, 4)
+        assert pairs.dim == 4 and np.array_equal(pairs.columns, every[:, :2])
+        assert np.array_equal(pairs.dense(labels), np.hstack([values[:, :2], np.zeros((3, 2))]))

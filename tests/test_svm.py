@@ -315,9 +315,30 @@ class TestPairs:
         weights = train(pairs[0], spec)
         assert weights.tobytes() == train(dense[0], spec).tobytes()
         for made, want in zip(pairs, dense):
-            predicted = predict_batch(weights, made.features, made.columns)
-            assert np.array_equal(predicted, predict_batch(weights, want.features))
             assert evaluate(weights, made) == evaluate(weights, want)
+
+    def test_row_and_pair_order_change_nothing(self):
+        """Permuting a pairs set's rows, and the pairs inside each row,
+        leaves the weights and the accuracy bit-identical."""
+        rng = np.random.default_rng(55)
+
+        def shuffle(d):
+            perm = rng.permutation(d.n_samples)
+            within = rng.permuted(np.tile(np.arange(d.columns.shape[1]), (d.n_samples, 1)), axis=1)
+            columns = np.take_along_axis(d.columns[perm], within, axis=1)
+            values = np.take_along_axis(d.features[perm], within, axis=1)
+            return FeatureDataset(values, d.labels[perm], None, columns, d.dim)
+
+        for scaled in (False, True):
+            pairs, _ = pairs_sets(54)
+            if scaled:
+                pairs = standardize(*pairs)
+            spec = TrainSpec(lambda_=1e-2, epochs=4, seed=56)
+            weights = train(pairs[0], spec)
+            shuffled = [shuffle(d) for d in pairs]
+            moved = train(shuffled[0], spec)
+            assert moved.tobytes() == weights.tobytes()
+            assert evaluate(moved, shuffled[1]) == evaluate(weights, pairs[1])
 
     def test_order_is_one_lexsort_over_every_column(self):
         """Repeated rows order by label, then by position."""
@@ -332,5 +353,3 @@ class TestPairs:
         pairs, _ = pairs_sets(53)
         with pytest.raises(ValueError, match="do not match dim"):
             evaluate(np.zeros((3, 30)), pairs[1])
-        with pytest.raises(ValueError, match="do not fit"):
-            predict_batch(np.zeros((3, 30)), pairs[1].features, pairs[1].columns)
