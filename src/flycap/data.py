@@ -123,7 +123,16 @@ class FeatureDataset:
 
     def row_sum(self, order=None, centre=None) -> np.ndarray:
         """The sum of the dense rows at `order` (default: every row), or of
-        their squared differences from `centre`, added one row at a time."""
+        their squared differences from `centre`, added one row at a time.
+        Pairs without `centre` take one bincount, which adds each column's
+        stored values in row order; the +0.0 entries left out change no
+        bit of a sum from +0.0, which is never -0.0."""
+        if self.columns is not None and centre is None:
+            rows = slice(None) if order is None else order
+            sums = np.bincount(
+                self.columns[rows].ravel(), self.features[rows].ravel(), minlength=self.dim + 1
+            )
+            return sums[: self.dim]
         total = np.zeros(self.dim)
         for block in self.dense_blocks(order):
             if centre is not None:
@@ -326,11 +335,14 @@ def add_noise(d: FeatureDataset, sigma: float, seed: int) -> FeatureDataset:
 
     One Gaussian matrix is drawn per call from the seed's stream, row by
     row in dataset order, so every sample gets its own noise, repeated
-    rows included. sigma = 0 draws nothing and returns d itself.
+    rows included. sigma = 0 draws nothing and returns d itself. Rows of
+    pairs are refused: noise would fill the entries they do not hold.
     """
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     seed = check_seed(seed)
+    if d.columns is not None:
+        raise ValueError("add_noise takes dense rows, not rows of pairs")
     if sigma == 0.0:
         return d
     noisy = d.features + derive_rng(seed).standard_normal(d.features.shape) * sigma

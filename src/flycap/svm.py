@@ -17,11 +17,12 @@ Columns that are zero throughout train take no part in them and get
 +0.0 weights, so padding a dataset with zero columns changes no bit.
 
 Every dataset is read one way, as the dense rows `FeatureDataset` gives
-whatever its layout: windows of columns for the canonical order, blocks
-of rows for the means and the scores, and each batch centred in one
-step buffer. So rows of (column, value) pairs train to the same bits as
-their dense scatter, with no dense copy of the set. Scores are einsum
-contractions in a fixed order, never BLAS.
+whatever its layout: windows of columns of the rows that still tie for
+the canonical order, sums of rows for the means, blocks of rows for the
+scores, and each batch centred in one step buffer. So rows of (column,
+value) pairs train to the same bits as their dense scatter, with no
+dense copy of the set. Scores are einsum contractions in a fixed order,
+never BLAS.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class TrainSpec:
 
 
 _BATCH = 16  # samples per step
-_KEY_COLUMNS = 64  # columns per window of the canonical order's lexsort
+_KEY_COLUMNS = 64  # columns per window of the canonical order, densified at once
 
 
 def _canonical_order(d: FeatureDataset) -> np.ndarray:
@@ -58,14 +59,28 @@ def _canonical_order(d: FeatureDataset) -> np.ndarray:
     invariant to the order rows arrived in.
 
     This is np.lexsort's permutation over the label and every dense
-    column, column 0 most significant, built least significant first:
-    one stable lexsort per window of 64 columns, each densified on its
-    own from the rows in the order found so far.
+    column, column 0 most significant, for features without NaN. It is
+    built from the label order most significant window of 64 columns
+    first, each window densified only for the rows that still tie on
+    every earlier column and sorted within their runs of ties, so beyond
+    the tied rows a set of pairs costs O(nnz).
     """
     order = np.argsort(d.labels, kind="stable")
-    for lo in reversed(range(0, d.dim, _KEY_COLUMNS)):
-        keys = d.dense(order, lo, min(lo + _KEY_COLUMNS, d.dim))
-        order = order[np.lexsort(keys.T[::-1])]
+    # the positions in order that still tie, and the run of ties each is in
+    at = np.arange(d.n_samples)
+    run = np.zeros(d.n_samples, dtype=np.intp)
+    for lo in range(0, d.dim, _KEY_COLUMNS):
+        if at.size == 0:
+            break
+        keys = d.dense(order[at], lo, min(lo + _KEY_COLUMNS, d.dim))
+        # runs are the most significant key, so each keeps its positions
+        within = np.lexsort((*keys.T[::-1], run))
+        order[at] = order[at[within]]
+        keys = keys[within]
+        ties = (run[1:] == run[:-1]) & np.all(keys[1:] == keys[:-1], axis=1)
+        tied = np.append(ties, False) | np.insert(ties, 0, False)
+        run = np.cumsum(np.insert(~ties, 0, True))[tied]
+        at = at[tied]
     return order
 
 

@@ -175,19 +175,23 @@ def operator_norm(
     """Largest singular value by power iteration on the m x m Gram matrix.
 
     Returns (sigma, converged); an all-zero matrix reports (0.0, True).
+    The Gram matrix holds small integers, which BLAS sums exactly in any
+    order; the iteration's products, dots and norms are einsum reductions
+    in a fixed order, never BLAS, so no BLAS kernel changes a bit of sigma.
     """
     dense = matrix.to_dense()
     gram = dense.T @ dense
     v = start_rng.standard_normal(matrix.n_cols)
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(np.einsum("i,i->", v, v))
+    w = np.einsum("ij,j->i", gram, v)
     lam_prev = 0.0
     for _ in range(_OPNORM_MAX_ITERS):
-        w = gram @ v
-        norm_w = np.linalg.norm(w)
+        norm_w = math.sqrt(np.einsum("i,i->", w, w))
         if norm_w == 0.0:
             return 0.0, True
         v = w / norm_w
-        lam = float(v @ (gram @ v))
+        w = np.einsum("ij,j->i", gram, v)
+        lam = float(np.einsum("i,i->", v, w))
         if abs(lam - lam_prev) <= _OPNORM_REL_TOL * abs(lam):
             return math.sqrt(lam), True
         lam_prev = lam

@@ -235,6 +235,14 @@ class TestAddNoise:
         noisy = add_noise(d, 8.0, 11)
         assert np.unique(noisy.features, axis=0).shape[0] == d.n_samples
 
+    def test_pairs_are_refused(self):
+        """Noise goes on every entry of dense rows; rows of pairs would
+        lose their columns, so they are refused, at sigma = 0 too."""
+        (train, _), _ = pairs_sets(12)
+        for sigma in (0.0, 0.5):
+            with pytest.raises(ValueError, match="pairs"):
+                add_noise(train, sigma, 1)
+
 
 class TestSplit:
     def test_800_200(self):
@@ -402,6 +410,24 @@ class TestStandardizePairs:
         save_csv(train, tmp_path / "pairs.csv")
         save_csv(dense_train, tmp_path / "dense.csv")
         assert (tmp_path / "pairs.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
+
+
+class TestRowSumPairs:
+    def test_pairs_sum_to_the_dense_scatter_bits(self):
+        """One bincount over the pairs gives the bits of the row loop over
+        their dense scatter, in any row order: with -0.0 values, a column
+        stored only as -0.0, and the padding `select` leaves where it
+        drops columns 0, 3 and 7."""
+        (train, _), _ = pairs_sets(36)
+        train.features[train.columns == 7] = -0.0
+        keep = np.setdiff1d(np.arange(train.dim), [0, 3, 7])
+        order = np.random.default_rng(37).permutation(train.n_samples)
+        for made in (train, train.select(keep)):
+            dense = FeatureDataset(dense_rows(made), made.labels)
+            assert np.any(made.columns == made.dim) == (made is not train)
+            for rows in (None, order, order[:7]):
+                assert made.row_sum(rows).tobytes() == dense.row_sum(rows).tobytes()
+        assert train.row_sum()[7] == 0.0 and not np.signbit(train.row_sum()[7])
 
 
 class TestPairsLayout:

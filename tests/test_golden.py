@@ -76,13 +76,19 @@ def test_forward_batch_output(case):
 @pytest.mark.parametrize(
     "case", GOLDEN["cli"], ids=lambda c: c.get("id", c["args"].split(" --")[0])
 )
-def test_cli_output(case, tmp_path):
+def test_cli_output(case, tmp_path, capsys):
     """SHA-256 of the CSV a command writes, after the `#` invocation line
-    (which records the --out path). The invertibility case includes draw
-    587 of the m=100 stream, which only the exact determinant decides."""
-    out = tmp_path / "out.csv"
-    assert main([*shlex.split(case["args"]), "--out", str(out)]) == 0
-    body = out.read_bytes().split(b"\n", 1)[1]
+    (which records the --out path), or of what a `bounds` command prints.
+    The invertibility case includes draw 587 of the m=100 stream, which
+    only the exact determinant decides."""
+    args = shlex.split(case["args"])
+    if args[0] == "bounds":
+        assert main(args) == 0
+        body = capsys.readouterr().out.encode()
+    else:
+        out = tmp_path / "out.csv"
+        assert main([*args, "--out", str(out)]) == 0
+        body = out.read_bytes().split(b"\n", 1)[1]
     assert hashlib.sha256(body).hexdigest() == case["sha256"]
 
 

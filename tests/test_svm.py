@@ -6,7 +6,7 @@ import pytest
 from flycap.data import FeatureDataset, SplitSpec, split, standardize, synth_blobs
 from flycap.seeding import derive_rng
 from flycap.svm import _BATCH, TrainSpec, _canonical_order, evaluate, predict_batch, train
-from test_data import pairs_sets
+from test_data import dense_rows, pairs_sets
 
 
 def assert_close(weights, reference):
@@ -353,3 +353,57 @@ class TestPairs:
         pairs, _ = pairs_sets(53)
         with pytest.raises(ValueError, match="do not match dim"):
             evaluate(np.zeros((3, 30)), pairs[1])
+
+
+def tied_sets():
+    """Sets, by name, whose rows tie across windows of columns."""
+    rng = np.random.default_rng(58)
+    windows = rng.standard_normal((14, 200))
+    windows[1:4, :64] = windows[0, :64]  # tie on the first window only
+    windows[5:9, :128] = windows[4, :128]  # tie on two windows
+    windows[6, 128:199] = windows[5, 128:199]  # differ in the last column
+    windows[7] = windows[8]  # tie on every column
+    duplicates = np.repeat(rng.standard_normal((4, 70)), 3, axis=0)
+    signed_zeros = rng.choice([0.0, -0.0, 1.0], (30, 70), p=[0.45, 0.45, 0.1])
+    zero_rows = rng.standard_normal((12, 130))
+    zero_rows[[2, 5, 6, 11]] = 0.0
+    zero_rows[6, 129] = -0.0
+    # two runs of ties on the first window, whose neighbouring rows tie on
+    # the second and then differ in the order of the runs
+    adjacent_runs = np.zeros((4, 150))
+    adjacent_runs[2:, :64] = 1.0
+    adjacent_runs[:, 64:128] = [[1.0], [2.0], [2.0], [3.0]]
+    adjacent_runs[1, 140] = 5.0
+    narrow = rng.integers(-1, 2, (40, 5)).astype(np.float64)
+    # 3 pairs of small integers per row, nearly all past column 200 of
+    # 300, so most rows tie on the first three windows; rows 5 to 7 hold
+    # only padding or explicit zeros
+    columns = rng.permuted(np.tile(np.arange(200, 300), (40, 1)), axis=1)[:, :3]
+    columns[:4, 0] = rng.integers(0, 200, 4)
+    columns = np.sort(columns, axis=1).astype(np.int32)
+    values = rng.integers(-1, 2, columns.shape).astype(np.float64)
+    values[rng.random(values.shape) < 0.2] = -0.0
+    columns[5:7], values[5:7] = 300, 0.0
+    columns[8, 2], values[8, 2] = 300, 0.0
+    values[7] = [0.0, -0.0, 0.0]
+    return {
+        "windows": FeatureDataset(windows, np.arange(14) % 2),
+        "adjacent_runs": FeatureDataset(adjacent_runs[[3, 1, 0, 2]], np.zeros(4, dtype=int)),
+        "duplicates": FeatureDataset(duplicates, np.arange(12) % 4),
+        "signed_zeros": FeatureDataset(signed_zeros, rng.integers(0, 2, 30)),
+        "zero_rows": FeatureDataset(zero_rows, np.zeros(12, dtype=int)),
+        "narrow": FeatureDataset(narrow, rng.integers(0, 3, 40)),
+        "one_row": FeatureDataset(rng.standard_normal((1, 10)), np.array([0])),
+        "dim_zero": FeatureDataset(np.empty((6, 0)), np.array([1, 0, 1, 0, 0, 1])),
+        "pairs_late_columns": FeatureDataset(values, rng.integers(0, 3, 40), None, columns, 300),
+    }
+
+
+@pytest.mark.parametrize("name", list(tied_sets()))
+def test_canonical_order_is_one_lexsort(name):
+    """Ties on a window are broken by the next, full ties by the label
+    and then by the row index; -0.0 ties with 0.0."""
+    d = tied_sets()[name]
+    features = d.features if d.columns is None else dense_rows(d)
+    reference = np.lexsort((d.labels, *features[:, ::-1].T))
+    assert np.array_equal(_canonical_order(d), reference)
