@@ -38,8 +38,9 @@ class FeatureDataset:
     by `capped`. A row's columns are distinct, except for padding
     entries, which hold column `dim` and value zero (`select` pads where
     it drops a column). Only this class reads the layout: readers take
-    dense rows (`dense`, `dense_blocks`, `row_sum`, `centred_rows`) or
-    column ids (`live_columns`, `select`).
+    dense rows (`dense`, `dense_blocks`, `row_sum`), column ids
+    (`live_columns`, `select`) or the step of a linear model on a batch
+    of rows (`batch_step`).
     """
 
     features: np.ndarray
@@ -152,9 +153,9 @@ class FeatureDataset:
         each divided by its entry of `scales` when given. The result
         shares this set's arrays if it keeps every column unscaled, and
         is built in new arrays otherwise; a pair in a column not given
-        becomes padding."""
+        becomes padding, and a selection of no columns is held dense."""
         columns = np.asarray(columns, dtype=np.intp)
-        if self.columns is None:
+        if self.columns is None or columns.size == 0:
             if columns.size == self.dim and scales is None:
                 return self
             x = self.features.take(columns, axis=1)
@@ -169,35 +170,55 @@ class FeatureDataset:
             x /= np.append(scales, 1.0)[renumbered]
         return FeatureDataset(x, self.labels.copy(), self.class_names, renumbered, columns.size)
 
-    def centred_rows(self, means: np.ndarray, size: int):
-        """A function from at most `size` row indices to those rows minus
-        `means`, as z = [x - means, 1] in the rows of one (size x (dim + 1))
-        buffer that every call overwrites. Each call costs O(size x dim)
-        to fill the buffer, and pairs O(size x w) beyond it.
+    def batch_step(self, means: np.ndarray, size: int):
+        """The two halves of a mini-batch step on rows centred on `means`,
+        z = [x - means, 1], against weights (classes x (dim + 1)), bias
+        last. `scores(rows, weights)` gives each z_i . w_c for at most
+        `size` row indices; `add(g, scale, weights)` adds
+        (sum_i g[i, c] z_i) / scale to each weights[c], in place, for the
+        rows last scored. Dense rows are centred in one buffer and
+        contracted by einsum in a fixed order.
 
-        An entry a row of pairs does not hold is 0.0 - means, which is
-        what a dense zero gives (and differs from -means in the sign of a
-        zero mean), so pairs give the bits of their dense scatter.
+        Pairs are centred implicitly, at O(size x w + classes x dim) a
+        step: scores contract the weights gathered at a row's columns with
+        its values, in the row's pair order, and add [-means, 1] . w_c;
+        the update adds every g[i, c] x_ij / scale by one bincount, in row
+        order, then the rank-one (sum_i g[i, c] / scale) [-means, 1].
+        Padding reads and writes the bias, with value zero.
         """
-        buffer = np.ones((size, self.dim + 1))
-        if self.columns is not None:
-            unstored = 0.0 - means
-            # a padding pair lands on the ones column, which is reset after the scatter
-            centred = self.features - np.append(means, 0.0)[self.columns]
-            flat = buffer.reshape(-1)
-            offsets = np.arange(size)[:, None] * (self.dim + 1)
+        if self.columns is None:
+            buffer = np.ones((size, self.dim + 1))
 
-        def write(rows):
-            z = buffer[: rows.size]
-            if self.columns is None:
+            def scores(rows, weights):
+                z = buffer[: rows.size]
                 np.subtract(self.features[rows], means, out=z[:, : self.dim])
-            else:
-                z[:, : self.dim] = unstored
-                flat[offsets[: rows.size] + self.columns[rows]] = centred[rows]
-                z[:, self.dim] = 1.0
-            return z
+                return np.einsum("bj,cj->bc", z, weights)
 
-        return write
+            def add(g, scale, weights):
+                weights += np.einsum("bc,bj->cj", g, buffer[: g.shape[0]]) / scale
+
+            return scores, add
+
+        columns = self.columns.astype(np.intp)
+        centre = np.append(-means, 1.0)
+        at = values = None
+
+        def scores(rows, weights):
+            nonlocal at, values
+            at, values = columns[rows], self.features[rows]
+            gathered = np.einsum("cbk,bk->bc", np.take(weights, at, axis=1), values)
+            return gathered + np.einsum("cj,j->c", weights, centre)
+
+        def add(g, scale, weights):
+            g = g / scale
+            classes, width = weights.shape
+            bins = at + np.arange(0, weights.size, width)[:, None, None]
+            products = np.einsum("bc,bk->cbk", g, values)
+            summed = np.bincount(bins.ravel(), products.ravel(), minlength=weights.size)
+            weights += summed.reshape(classes, width)
+            weights += np.einsum("c,j->cj", g.sum(axis=0), centre)
+
+        return scores, add
 
 
 @dataclass(frozen=True)

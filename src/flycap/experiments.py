@@ -17,7 +17,7 @@ from . import data, svm
 from .data import FeatureDataset, SplitSpec
 from .seeding import check_seed, derive_seed
 from .svm import TrainSpec
-from .transform import TransformConfig, build
+from .transform import Transform, TransformConfig, build
 
 VARIANTS = ("baseline", "project", "cap")
 
@@ -164,7 +164,8 @@ def _run_cell(
             cap_k=cap_k,
             seed=derive_seed(spec.seed, slot, repeat, _TAG_MATRIX),
         )
-        transform = build(config)
+        # forward_pairs reads no matrix at k=0, so none is drawn
+        transform = build(config) if cap_k else Transform(config, matrix=None)
 
         def project(d: FeatureDataset) -> FeatureDataset:
             pairs = transform.forward_pairs(d.features)

@@ -9,20 +9,20 @@ Singer, Srebro & Cotter, Math. Prog. 2011, sec. 2.3). `train` returns
 the running average of the iterates, far more stable than the last
 iterate at practical epoch counts, mapped back to the uncentred features
 (the bias absorbs the centring), as one (classes x (dim+1)) weight array
-with the bias last; `predict_batch` and `evaluate` take it.
+with the bias last; `evaluate` takes it.
 
 All class models share the seed-derived batches, so a step updates them
-together in a few dense contractions while they remain independent.
-Columns that are zero throughout train take no part in them and get
-+0.0 weights, so padding a dataset with zero columns changes no bit.
+together while they remain independent. Columns that are zero
+throughout train take no part in a step and get +0.0 weights, so
+padding a dataset with zero columns changes no bit.
 
-Every dataset is read one way, as the dense rows `FeatureDataset` gives
-whatever its layout: windows of columns of the rows that still tie for
-the canonical order, sums of rows for the means, blocks of rows for the
-scores, and each batch centred in one step buffer. So rows of (column,
-value) pairs train to the same bits as their dense scatter, with no
-dense copy of the set. Scores are einsum contractions in a fixed order,
-never BLAS.
+`svm` never reads a dataset's layout: `FeatureDataset` gives it dense
+windows of columns of the rows that still tie for the canonical order,
+sums of rows for the means, each batch's step (`batch_step`) and dense
+blocks of rows for `evaluate`. Rows of (column, value) pairs are centred
+implicitly, so a step costs what the batch holds plus O(classes x dim),
+and they train to the weights of their dense scatter up to rounding.
+Every contraction is an einsum or a bincount in a fixed order, never BLAS.
 """
 
 from __future__ import annotations
@@ -92,8 +92,10 @@ def train(d: FeatureDataset, spec: TrainSpec) -> np.ndarray:
     in canonical sample order, and the bias absorbs them. The visit order
     is a pure function of the seed and the canonical sample order, never
     of the input row order, so permuting the dataset's rows leaves the
-    trained weights bit-identical. Rows of pairs train to the same bits
-    as their dense scatter.
+    trained weights bit-identical. Rows of pairs train to the weights of
+    their dense scatter up to rounding; the order of the pairs in a row
+    reaches them only through the rounding of the scores in the margin
+    test.
     """
     if d.n_samples == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -111,7 +113,7 @@ def train(d: FeatureDataset, spec: TrainSpec) -> np.ndarray:
     width = live.size
     order = _canonical_order(x)
     means = x.row_sum(order) / d.n_samples  # in canonical order, so the row order changes no bit
-    centred = x.centred_rows(means, _BATCH)
+    scores, add = x.batch_step(means, _BATCH)
     # targets[i, c] = +1 if sample i belongs to class c else -1
     targets = np.where(np.arange(num_classes) == d.labels[:, None], 1.0, -1.0)
 
@@ -125,14 +127,11 @@ def train(d: FeatureDataset, spec: TrainSpec) -> np.ndarray:
         visits = order[rng.permutation(d.n_samples)]
         for start in range(0, d.n_samples, _BATCH):
             rows = visits[start : start + _BATCH]
-            z = centred(rows)
             y = targets[rows]
             t += 1
-            # einsum's fixed-order reductions keep scores thread-independent,
-            # which BLAS @ does not
-            active = y * np.einsum("bj,cj->bc", z, weights) < 1.0
+            active = y * scores(rows, weights) < 1.0
             weights *= 1.0 - 1.0 / t
-            weights += np.einsum("bc,bj->cj", active * y, z) / (lam * t * rows.size)
+            add(active * y, lam * t * rows.size, weights)
             norms = np.sqrt(np.einsum("cj,cj->c", weights, weights))
             weights *= (radius / np.maximum(norms, radius))[:, None]
             averaged += (weights - averaged) / t
@@ -143,32 +142,24 @@ def train(d: FeatureDataset, spec: TrainSpec) -> np.ndarray:
     return out
 
 
-def predict_batch(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Class with the highest score under train's weights per dense
-    (samples x dim) row, ties to the lowest class id.
+def evaluate(weights: np.ndarray, d: FeatureDataset) -> float:
+    """Fraction of a dataset's rows whose class is the one with the
+    highest score under train's weights, ties to the lowest class id.
 
-    Scores are einsum contractions in a fixed order, never BLAS, so no
-    BLAS kernel or thread count changes a prediction.
+    Scores are einsum contractions over dense blocks of 16 rows in a
+    fixed order, never BLAS, so no BLAS kernel or thread count changes
+    a prediction.
     """
+    if d.n_samples == 0:
+        raise ValueError("cannot evaluate on an empty dataset")
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 2:
         raise ValueError(f"weights must be 2-D, got shape {weights.shape}")
     if not np.all(np.isfinite(weights)):
         raise ValueError("weights must be finite")
-    features = np.asarray(features, dtype=np.float64)
-    dim = weights.shape[1] - 1
-    if features.ndim != 2 or features.shape[1] != dim:
-        raise ValueError(f"features of shape {features.shape} do not match model dim {dim}")
-    scores = np.einsum("bj,cj->bc", features, weights[:, :-1])
-    return np.argmax(scores + weights[:, -1], axis=1)
-
-
-def evaluate(weights: np.ndarray, d: FeatureDataset) -> float:
-    """Fraction of correct predictions of train's weights on a dataset,
-    scored over dense blocks of its rows."""
-    if d.n_samples == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
-    if np.shape(weights)[-1] != d.dim + 1:
-        raise ValueError(f"weights of shape {np.shape(weights)} do not match dim {d.dim}")
-    predicted = np.concatenate([predict_batch(weights, block) for block in d.dense_blocks()])
-    return float(np.mean(predicted == d.labels))
+    if weights.shape[1] != d.dim + 1:
+        raise ValueError(f"weights of shape {weights.shape} do not match dim {d.dim}")
+    w, b = weights[:, :-1], weights[:, -1]
+    blocks = d.dense_blocks()
+    predicted = [np.argmax(np.einsum("bj,cj->bc", x, w) + b, axis=1) for x in blocks]
+    return float(np.mean(np.concatenate(predicted) == d.labels))
