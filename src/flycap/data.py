@@ -155,9 +155,9 @@ class FeatureDataset:
         is built in new arrays otherwise; a pair in a column not given
         becomes padding, and a selection of no columns is held dense."""
         columns = np.asarray(columns, dtype=np.intp)
+        if columns.size == self.dim and scales is None:
+            return self
         if self.columns is None or columns.size == 0:
-            if columns.size == self.dim and scales is None:
-                return self
             x = self.features.take(columns, axis=1)
             if scales is not None:
                 x /= scales

@@ -5,10 +5,10 @@ each with probability p(1-p) and 0 otherwise, which is exactly the
 distribution of the difference of two independent Bernoulli(p) draws.
 Entries have mean zero and variance 2p(1-p). Only nonzeros are stored,
 once, in the jagged-diagonal layout the products run over (Saad, SIAM
-J. Sci. Stat. Comput. 1989): 8 bytes per row plus, per nonzero, its
-signed column c or c + n_cols in the narrowest unsigned integer that
-holds 2 n_cols - 1, so 1 byte up to 128 columns, 2 up to 32768 and 4
-beyond.
+J. Sci. Stat. Comput. 1989): per row, its int64 place in the rows'
+order by length; per nonzero, its signed column c or c + n_cols in the
+narrowest unsigned integer that holds 2 n_cols - 1, so 1 byte up to 128
+columns, 2 up to 32768 and 4 beyond.
 Diagonal j holds the j-th entry of every row that has one, so a product
 is a few contiguous passes per cache-sized tile of output rows instead
 of one scattered pass over all nonzeros.
@@ -53,11 +53,11 @@ class SparseSignMatrix:
     signed columns (c for +1, c + n_cols for -1) in row-major order, of
     any integer type; the constructor checks that they agree, stores
     the columns in the module's narrow width and keeps neither array.
-    ``order`` lists the rows by nonzero count, longest first and stable,
-    and ``diagonals[j]`` holds, for the leading rows of that order which
-    have a j-th entry, its signed column. Fields cannot be reassigned and
-    no function of this module writes into the arrays, so threads may
-    share one matrix.
+    ``position[i]`` (int64) is row i's place in the rows ordered by
+    nonzero count, longest first and stable, and ``diagonals[j]`` holds,
+    for the leading rows of that order which have a j-th entry, its
+    signed column. Fields cannot be reassigned and no function of this
+    module writes into the arrays, so threads may share one matrix.
     """
 
     n_rows: int
@@ -65,7 +65,7 @@ class SparseSignMatrix:
     p: float
     counts: InitVar[np.ndarray]
     signed: InitVar[np.ndarray]
-    order: np.ndarray = field(init=False, repr=False)
+    position: np.ndarray = field(init=False, repr=False)
     diagonals: tuple[np.ndarray, ...] = field(init=False, repr=False)
     nnz: int = field(init=False)
 
@@ -88,17 +88,19 @@ class SparseSignMatrix:
         diagonals = tuple(
             signed.take(starts[:length] + j) for j, length in enumerate(lengths.tolist())
         )
-        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "position", np.empty_like(order))
+        self.position[order] = np.arange(self.n_rows)
         object.__setattr__(self, "diagonals", diagonals)
         object.__setattr__(self, "nnz", int(signed.shape[0]))
 
     def to_dense(self) -> np.ndarray:
         """Dense float64 copy (for small matrices and oracle checks)."""
         out = np.zeros((self.n_rows, self.n_cols))
+        order = np.argsort(self.position)  # the rows, longest first
         for diagonal in self.diagonals:
             # float signs: 1 - 2 * negative would wrap in the unsigned width
             negative, cols = np.divmod(diagonal, self.n_cols)
-            out[self.order[: diagonal.shape[0]], cols] = 1.0 - 2.0 * negative
+            out[order[: diagonal.shape[0]], cols] = 1.0 - 2.0 * negative
         return out
 
 
@@ -175,12 +177,12 @@ def sample_matrix(n_rows: int, n_cols: int, p: float, seed: int) -> SparseSignMa
 def apply(m: SparseSignMatrix, x: np.ndarray) -> np.ndarray:
     """Sparse product M @ x of one vector or a (rows x n_cols) block.
 
-    A vector gives an n_rows vector and a block a (rows x n_rows)
-    array. Each output entry starts at 0.0 and adds its row's signed
-    terms in column order, one jagged diagonal at a time over tiles of
-    ~2^16 accumulator entries, so the result is rounded like any float64
-    sum but reproducible bit-for-bit, its order independent of tiling and
-    threads, and a row gives the same bits alone as inside a block.
+    A vector gives a new n_rows vector and a block a new C-contiguous
+    (rows x n_rows) array. Each output entry starts at 0.0 and adds its
+    row's signed terms in column order, one jagged diagonal at a time
+    over tiles of ~2^16 accumulator entries: rounded like any float64
+    sum, reproducible bit-for-bit whatever the tiling and threads, and
+    the same bits for a row alone as inside a block.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != m.n_cols:
@@ -189,10 +191,9 @@ def apply(m: SparseSignMatrix, x: np.ndarray) -> np.ndarray:
         )
     if not np.all(np.isfinite(x)):
         raise ValueError("input has non-finite entries")
-    xt = x.T
     # row c of both is +x_c and row c + n_cols is -x_c, each contiguous
-    both = np.ascontiguousarray(np.concatenate((xt, -xt)))
-    acc = np.zeros((m.n_rows,) + xt.shape[1:])
+    both = np.ascontiguousarray(np.concatenate((x.T, -x.T)))
+    acc = np.zeros((m.n_rows,) + x.shape[:-1])
     tile = max(1, _TILE_ENTRIES // max(1, x.size // m.n_cols))
     for lo in range(0, m.n_rows, tile):
         for diagonal in m.diagonals:
@@ -200,6 +201,5 @@ def apply(m: SparseSignMatrix, x: np.ndarray) -> np.ndarray:
                 break  # diagonals only shorten: no later one reaches this tile
             part = diagonal[lo : lo + tile]
             acc[lo : lo + part.shape[0]] += both.take(part, axis=0)
-    out = np.empty(x.shape[:-1] + (m.n_rows,))
-    out.T[m.order] = acc
-    return out
+    acc = acc.take(m.position, axis=0)  # into row order, freeing the sums in diagonal order
+    return acc if acc.ndim == 1 else acc.T.copy()

@@ -181,17 +181,17 @@ def operator_norm(
     """
     dense = matrix.to_dense()
     gram = dense.T @ dense
-    v = start_rng.standard_normal(matrix.n_cols)
+    v, w = vw = np.empty((2, matrix.n_cols))  # the iterate v and w = gram v
+    start_rng.standard_normal(out=v)
     v /= math.sqrt(np.einsum("i,i->", v, v))
-    w = np.einsum("ij,j->i", gram, v)
-    lam_prev = 0.0
+    np.einsum("ij,j->i", gram, v, out=w)
+    ww, lam_prev = float(np.einsum("i,i->", w, w)), 0.0
     for _ in range(_OPNORM_MAX_ITERS):
-        norm_w = math.sqrt(np.einsum("i,i->", w, w))
-        if norm_w == 0.0:
+        if ww == 0.0:
             return 0.0, True
-        v = w / norm_w
-        w = np.einsum("ij,j->i", gram, v)
-        lam = float(np.einsum("i,i->", v, w))
+        np.divide(w, math.sqrt(ww), out=v)
+        np.einsum("ij,j->i", gram, v, out=w)
+        lam, ww = np.einsum("ki,i->k", vw, w).tolist()  # v.w, and w.w for the next step
         if abs(lam - lam_prev) <= _OPNORM_REL_TOL * abs(lam):
             return math.sqrt(lam), True
         lam_prev = lam

@@ -445,6 +445,19 @@ class TestPairsLayout:
         with pytest.raises(ValueError, match="padding"):
             FeatureDataset(train.features + 1.0, train.labels, None, columns, train.dim)
 
+    def test_selecting_every_column_shares_the_arrays(self):
+        """Every column kept unscaled gives the set itself, pairs and
+        dense rows alike; a scale or a dropped column gives new arrays."""
+        (train, _), (dense_train, _) = pairs_sets(3)
+        every = np.arange(train.dim)
+        made = train.select(every)
+        assert np.shares_memory(made.features, train.features)
+        assert np.shares_memory(made.columns, train.columns)
+        assert dense_train.select(every) is dense_train
+        for d in (train, dense_train):
+            for made in (d.select(every, np.full(d.dim, 2.0)), d.select(every[1:])):
+                assert not np.shares_memory(made.features, d.features)
+
     def test_dense_windows_are_the_dense_scatter(self):
         (train, _), (dense_train, _) = pairs_sets(33)
         train = standardize(train, train)[1]  # padding where columns 0 and 7 were

@@ -47,11 +47,11 @@ def sample_matrix_sha256(case):
 
 
 def layout_sha256(case):
-    """SHA-256 of the little-endian int64 order, then each diagonal in
-    turn as little-endian int32: the values apply reads, whatever their
-    stored width."""
+    """SHA-256 of the little-endian int64 order of the rows (the inverse
+    of position), then each diagonal in turn as little-endian int32: the
+    values apply reads, whatever their stored width."""
     m = sample_matrix(case["n_rows"], case["n_cols"], case["p"], case["seed"])
-    h = hashlib.sha256(m.order.astype("<i8").tobytes())
+    h = hashlib.sha256(np.argsort(m.position).astype("<i8").tobytes())
     for diagonal in m.diagonals:
         h.update(diagonal.astype("<i4").tobytes())
     return h.hexdigest()

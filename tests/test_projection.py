@@ -104,7 +104,7 @@ class TestSampling:
     def test_deterministic_regeneration(self):
         a = sample_matrix(50, 40, 0.1, 123)
         b = sample_matrix(50, 40, 0.1, 123)
-        assert a.order.tobytes() == b.order.tobytes()
+        assert a.position.tobytes() == b.position.tobytes()
         assert [d.tobytes() for d in a.diagonals] == [d.tobytes() for d in b.diagonals]
 
     def test_seed_changes_matrix(self):
@@ -144,8 +144,9 @@ class TestSampling:
             assert_storage(m, fresh_stream_entries(n_rows, n_cols, p, seed))
 
     def test_storage_invariants(self):
-        """Entries are signs, nnz counts them, and each row holds as many
-        as its stream has nonzeros."""
+        """Entries are signs, nnz counts them, each row holds as many as
+        its stream has nonzeros, and position is the int64 inverse of the
+        stable order of the rows by count, longest first."""
         n_rows, n_cols, p, seed = 80, 61, 0.3, 5
         m = sample_matrix(n_rows, n_cols, p, seed)
         dense = m.to_dense()
@@ -157,13 +158,16 @@ class TestSampling:
                 np.random.Philox(key=np.array([seed, r], dtype=np.uint64))
             ).random(n_cols)
             assert counts[r] == np.count_nonzero(u < 2.0 * p * (1.0 - p))
+        assert m.position.dtype == np.int64
+        order = np.argsort(-counts, kind="stable")
+        assert np.array_equal(m.position[order], np.arange(n_rows))
 
     def test_jagged_diagonal_layout(self):
-        """order sorts rows by nonzero count, longest first and stable;
-        diagonal j holds the signed column of entry j of each of the
+        """position places the rows by nonzero count, longest first and
+        stable; diagonal j holds the signed column of entry j of each of the
         leading rows that has one."""
         m = explicit_matrix([[0, 0, 0], [1, 0, -1], [0, -1, 0], [1, 1, 1], [0, 0, 1]])
-        assert m.order.tolist() == [3, 1, 2, 4, 0]
+        assert m.position.tolist() == [4, 1, 2, 0, 3]
         assert [d.tolist() for d in m.diagonals] == [[0, 0, 4, 2], [1, 5], [2]]
         assert all(d.dtype == np.uint8 for d in m.diagonals)
         assert empty_matrix().diagonals == ()
@@ -238,7 +242,7 @@ class TestSampling:
 
     def test_holds_only_the_layout(self):
         """A built matrix references one narrow entry per nonzero (its
-        diagonals, 2 bytes at 433 columns) and 8 bytes per row (order):
+        diagonals, 2 bytes at 433 columns) and 8 bytes per row (position):
         no triplets and no copy of its inputs."""
         sampled = sample_matrix(3000, 433, 0.05, 42)
         hand_built = explicit_matrix([[1, 0, -1], [0, 0, 0], [-1, 1, 1]])
@@ -264,7 +268,7 @@ class TestSampling:
     def test_frozen(self):
         m = sample_matrix(5, 4, 0.2, 1)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            m.order = np.arange(m.n_rows)
+            m.position = np.arange(m.n_rows)
 
     def test_extreme_p_gives_nearly_empty_matrix(self):
         # zero probability 2p^2 - 2p + 1 approaches 1 as p -> 1
@@ -332,6 +336,19 @@ class TestApply:
         want = m.to_dense() @ x
         scale = max(1e-300, float(np.max(np.abs(want))))
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+    def test_output_is_new_and_row_major(self):
+        """A vector and blocks of 1, 2 and 32 rows come back as new
+        C-contiguous arrays that own their data, equal to the dense
+        product (small integer inputs, so every sum is exact)."""
+        m = sample_matrix(300, 40, 0.1, 6)
+        dense = m.to_dense()
+        rng = np.random.default_rng(6)
+        for shape in ((40,), (1, 40), (2, 40), (32, 40)):
+            x = rng.integers(-3, 4, shape).astype(np.float64)
+            out = apply(m, x)
+            assert out.flags.c_contiguous and out.flags.owndata
+            assert np.array_equal(out, x @ dense.T)
 
     def test_linearity(self):
         m = sample_matrix(40, 25, 0.2, 6)

@@ -24,7 +24,7 @@ class TestConfig:
         )
         assert (t.matrix.n_rows, t.matrix.n_cols) == (2000, 433)
         want = sample_matrix(2000, 433, 0.05, t.config.seed)
-        assert t.matrix.order.tobytes() == want.order.tobytes()
+        assert t.matrix.position.tobytes() == want.position.tobytes()
         got = [d.tobytes() for d in t.matrix.diagonals]
         assert got == [d.tobytes() for d in want.diagonals]
 
