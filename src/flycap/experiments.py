@@ -164,7 +164,6 @@ def _run_cell(
             cap_k=cap_k,
             seed=derive_seed(spec.seed, slot, repeat, _TAG_MATRIX),
         )
-        # forward_pairs reads no matrix at k=0, so none is drawn
         transform = build(config) if cap_k else Transform(config, matrix=None)
 
         def project(d: FeatureDataset) -> FeatureDataset:

@@ -18,8 +18,8 @@ padding a dataset with zero columns changes no bit.
 
 `svm` never reads a dataset's layout: `FeatureDataset` gives it dense
 windows of columns of the rows that still tie for the canonical order,
-sums of rows for the means, each batch's step (`batch_step`) and dense
-blocks of rows for `evaluate`. Rows of (column, value) pairs are centred
+sums of rows for the means, and each batch's step (`batch_step`), whose
+scores `evaluate` reuses. Rows of (column, value) pairs are centred
 implicitly, so a step costs what the batch holds plus O(classes x dim),
 and they train to the weights of their dense scatter up to rounding.
 Every contraction is an einsum or a bincount in a fixed order, never BLAS.
@@ -146,9 +146,9 @@ def evaluate(weights: np.ndarray, d: FeatureDataset) -> float:
     """Fraction of a dataset's rows whose class is the one with the
     highest score under train's weights, ties to the lowest class id.
 
-    Scores are einsum contractions over dense blocks of 16 rows in a
-    fixed order, never BLAS, so no BLAS kernel or thread count changes
-    a prediction.
+    Rows are scored 16 at a time by `FeatureDataset.batch_step` at zero
+    means, so pairs cost O(rows x k) and stay sparse. No contraction is
+    BLAS, so no BLAS kernel or thread count changes a prediction.
     """
     if d.n_samples == 0:
         raise ValueError("cannot evaluate on an empty dataset")
@@ -159,7 +159,7 @@ def evaluate(weights: np.ndarray, d: FeatureDataset) -> float:
         raise ValueError("weights must be finite")
     if weights.shape[1] != d.dim + 1:
         raise ValueError(f"weights of shape {weights.shape} do not match dim {d.dim}")
-    w, b = weights[:, :-1], weights[:, -1]
-    blocks = d.dense_blocks()
-    predicted = [np.argmax(np.einsum("bj,cj->bc", x, w) + b, axis=1) for x in blocks]
+    scores, _ = d.batch_step(np.zeros(d.dim), _BATCH)
+    rows = np.arange(d.n_samples)
+    predicted = [np.argmax(scores(rows[i : i + _BATCH], weights), axis=1) for i in rows[::_BATCH]]
     return float(np.mean(np.concatenate(predicted) == d.labels))

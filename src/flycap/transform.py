@@ -46,10 +46,11 @@ class TransformConfig:
 
 @dataclass(eq=False)
 class Transform:
-    """A built transform; threads may share one (forward only reads its state)."""
+    """A built transform; threads may share one (forward only reads its
+    state). `matrix` is None only when cap_k is 0, where forward_pairs never reads it."""
 
     config: TransformConfig
-    matrix: projection.SparseSignMatrix
+    matrix: projection.SparseSignMatrix | None
 
     def forward(self, s: np.ndarray) -> np.ndarray:
         """Project s and keep the cap_k largest-magnitude coordinates.

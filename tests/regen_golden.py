@@ -1,5 +1,7 @@
 """Rewrite golden.json from the code as it is, and print what moved.
 
+golden.json holds every SHA-256 pin of a seeded output, the README
+quick run's included, so this is the one command that re-pins them.
 Each entry is rerun through the digest that test_golden.py checks it
 with; the file is rewritten in place, and every changed entry is printed
 as `kind` entry `id`: old -> new, in the form the change log names

@@ -152,6 +152,14 @@ def test_pipeline_output(case):
     assert pipeline_sha256(case) == case["sha256"]
 
 
+@pytest.mark.parametrize("kind", GOLDEN)
+def test_ids_are_unique(kind):
+    """regen_golden.py reports a moved entry by its id, so no two entries
+    of one kind may share one."""
+    ids = [DIGESTS[kind][1](case) for case in GOLDEN[kind]]
+    assert len(set(ids)) == len(ids)
+
+
 def test_regeneration_restores_the_pins(tmp_path):
     """regen_golden.py, run on a copy of the tests with one pin broken,
     reports that entry and rewrites golden.json to the same bytes."""
