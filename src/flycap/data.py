@@ -182,9 +182,12 @@ class FeatureDataset:
         Pairs are centred implicitly, at O(size x w + classes x dim) a
         step: scores contract the weights gathered at a row's columns with
         its values, in the row's pair order, and add [-means, 1] . w_c;
-        the update adds every g[i, c] x_ij / scale by one bincount, in row
-        order, then the rank-one (sum_i g[i, c] / scale) [-means, 1].
-        Padding reads and writes the bias, with value zero.
+        the update adds every g[i, c] x_ij / scale with g[i, c] nonzero by
+        one bincount, in row order, then the rank-one
+        (sum_i g[i, c] / scale) [-means, 1]. The terms left out are signed
+        zeros, and a sum that starts at +0.0 is never -0.0, so adding
+        them would change no bit. Padding reads and writes the bias, with
+        value zero.
         """
         if self.columns is None:
             buffer = np.ones((size, self.dim + 1))
@@ -212,8 +215,9 @@ class FeatureDataset:
         def add(g, scale, weights):
             g = g / scale
             classes, width = weights.shape
-            bins = at + np.arange(0, weights.size, width)[:, None, None]
-            products = np.einsum("bc,bk->cbk", g, values)
+            c, b = np.nonzero(g.T)  # class-major, rows ascending within a class
+            bins = at[b] + (c * width)[:, None]
+            products = values[b] * g[b, c][:, None]
             summed = np.bincount(bins.ravel(), products.ravel(), minlength=weights.size)
             weights += summed.reshape(classes, width)
             weights += np.einsum("c,j->cj", g.sum(axis=0), centre)

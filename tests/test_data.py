@@ -476,3 +476,48 @@ class TestPairsLayout:
         pairs = FeatureDataset.capped((every[:, :2], values[:, :2]), labels, None, 4)
         assert pairs.dim == 4 and np.array_equal(pairs.columns, every[:, :2])
         assert np.array_equal(pairs.dense(labels), np.hstack([values[:, :2], np.zeros((3, 2))]))
+
+
+class TestBatchStep:
+    """The pairs half of `batch_step` on rows with padding where `select`
+    drops columns 0, 3 and 7, explicit +0.0 and -0.0 values, a batch row
+    inactive for every class and a class inactive for every row."""
+
+    @staticmethod
+    def step_inputs():
+        (train, _), _ = pairs_sets(60)
+        made = train.select(np.setdiff1d(np.arange(train.dim), [0, 3, 7]))
+        rng = np.random.default_rng(61)
+        rows = rng.permutation(made.n_samples)[:24]
+        means = rng.standard_normal(made.dim)
+        weights = rng.standard_normal((4, made.dim + 1))
+        g = rng.choice([-1.0, -0.0, 0.0, 1.0], (rows.size, 4))
+        g[5] = -0.0
+        g[:, 2] = 0.0
+        held = made.columns[rows] < made.dim
+        assert np.any(~held) and np.any(held & (made.features[rows] == 0.0))
+        return made, rows, means, weights, g
+
+    def test_add_is_the_bincount_over_every_term(self):
+        """Leaving out the terms of a zero g changes no bit of the sum
+        over all classes x rows x pairs terms, taken class-major."""
+        made, rows, means, weights, g = self.step_inputs()
+        scores, add = made.batch_step(means, rows.size)
+        scores(rows, weights)
+        got = weights.copy()
+        add(g, 0.37 * rows.size, got)
+        h = g / (0.37 * rows.size)
+        classes, width = weights.shape
+        bins = made.columns[rows][None] + width * np.arange(classes)[:, None, None]
+        products = h.T[:, :, None] * made.features[rows][None]
+        summed = np.bincount(bins.ravel(), products.ravel(), minlength=weights.size)
+        want = weights + summed.reshape(classes, width)
+        want += np.einsum("c,j->cj", h.sum(axis=0), np.append(-means, 1.0))
+        assert got.tobytes() == want.tobytes()
+
+    def test_scores_are_the_dense_scatters(self):
+        made, rows, means, weights, _ = self.step_inputs()
+        scores, _ = made.batch_step(means, rows.size)
+        z = np.hstack([dense_rows(made)[rows] - means, np.ones((rows.size, 1))])
+        want = np.einsum("bj,cj->bc", z, weights)
+        np.testing.assert_allclose(scores(rows, weights), want, rtol=1e-13, atol=1e-13)
