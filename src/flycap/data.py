@@ -182,12 +182,11 @@ class FeatureDataset:
         Pairs are centred implicitly, at O(size x w + classes x dim) a
         step: scores contract the weights gathered at a row's columns with
         its values, in the row's pair order, and add [-means, 1] . w_c;
-        the update adds every g[i, c] x_ij / scale with g[i, c] nonzero by
-        one bincount, in row order, then the rank-one
-        (sum_i g[i, c] / scale) [-means, 1]. The terms left out are signed
-        zeros, and a sum that starts at +0.0 is never -0.0, so adding
-        them would change no bit. Padding reads and writes the bias, with
-        value zero.
+        the update adds each g[i, c] x_ij / scale with g[i, c] nonzero by
+        one bincount, in row order (a zero g gives signed zeros, which
+        change no bit of a sum from +0.0, as it is never -0.0), then the
+        rank-one (sum_i g[i, c] / scale) [-means, 1]. Padding reads and
+        writes the bias, with value zero.
         """
         if self.columns is None:
             buffer = np.ones((size, self.dim + 1))
@@ -214,12 +213,10 @@ class FeatureDataset:
 
         def add(g, scale, weights):
             g = g / scale
-            classes, width = weights.shape
             c, b = np.nonzero(g.T)  # class-major, rows ascending within a class
-            bins = at[b] + (c * width)[:, None]
-            products = values[b] * g[b, c][:, None]
-            summed = np.bincount(bins.ravel(), products.ravel(), minlength=weights.size)
-            weights += summed.reshape(classes, width)
+            bins = (at[b] + (c * weights.shape[1])[:, None]).ravel()
+            products = (values[b] * g[b, c][:, None]).ravel()
+            weights += np.bincount(bins, products, minlength=weights.size).reshape(weights.shape)
             weights += np.einsum("c,j->cj", g.sum(axis=0), centre)
 
         return scores, add
@@ -289,7 +286,7 @@ def load_csv(path) -> FeatureDataset:
 
 
 def _map_labels(raw_labels, pinned_names, path):
-    if pinned_names is None and all(_is_int(s) for s in raw_labels):
+    if pinned_names is None and all(re.fullmatch(r"-?[0-9]+", s) for s in raw_labels):
         ids = [int(s) for s in raw_labels]
         if min(ids) < 0:
             raise CsvFormatError(f"{path}: unknown label {min(ids)!r} (negative)")
@@ -302,10 +299,6 @@ def _map_labels(raw_labels, pinned_names, path):
             raise CsvFormatError(f"{path}: unknown label {s!r}")
         ids.append(mapping[s])
     return np.array(ids, dtype=np.int64), names
-
-
-def _is_int(s: str) -> bool:
-    return re.fullmatch(r"-?[0-9]+", s) is not None
 
 
 def save_csv(d: FeatureDataset, path, invocation: str | None = None) -> None:

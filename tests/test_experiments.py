@@ -145,13 +145,13 @@ class TestRunSweep:
         expected = [
             (16, 0, 0.3333333333333333, 0.0, 0.0),
             (64, 0, 0.3333333333333333, 0.0, 0.0),
-            (16, 1, 0.7777777777777777, 0.15713484026367724, 0.0625),
-            (64, 1, 0.6666666666666666, 0.13608276348795434, 0.015625),
+            (16, 1, 0.7222222222222222, 0.20786985482077452, 0.0625),
+            (64, 1, 0.7222222222222222, 0.07856742013183865, 0.015625),
             (16, 2, 0.8888888888888888, 0.15713484026367724, 0.125),
-            (64, 2, 0.611111111111111, 0.0785674201318386, 0.03125),
-            (16, 4, 0.6666666666666666, 0.13608276348795434, 0.25),
-            (64, 4, 0.8333333333333334, 0.13608276348795434, 0.0625),
-            (16, 8, 0.9444444444444445, 0.0785674201318386, 0.4791666666666667),
+            (64, 2, 0.6666666666666666, 0.0, 0.03125),
+            (16, 4, 0.8333333333333334, 0.23570226039551584, 0.25),
+            (64, 4, 0.888888888888889, 0.0785674201318386, 0.0625),
+            (16, 8, 0.8888888888888888, 0.15713484026367724, 0.4791666666666667),
             (64, 8, 1.0, 0.0, 0.125),
         ]
         keys = ("n", "k", "acc_mean", "acc_std", "sparsity")
@@ -171,10 +171,10 @@ class TestRunSweep:
         expected = [
             ("baseline", 0.0, None, 1.0, 0.0, 1.0),
             ("project", 0.0, None, 1.0, 0.0, 0.78125),
-            ("cap", 0.0, 4, 0.9166666666666667, 0.08333333333333331, 0.125),
+            ("cap", 0.0, 4, 0.8333333333333333, 0.16666666666666669, 0.125),
             ("baseline", 0.75, None, 0.8333333333333334, 0.0, 1.0),
             ("project", 0.75, None, 0.5, 0.16666666666666666, 0.875),
-            ("cap", 0.75, 4, 0.6666666666666667, 0.16666666666666669, 0.125),
+            ("cap", 0.75, 4, 0.8333333333333334, 0.0, 0.125),
             ("cap", 0.75, 0, 0.3333333333333333, 0.0, 0.0),
         ]
         keys = ("variant", "sigma", "k", "acc_mean", "acc_std", "sparsity")

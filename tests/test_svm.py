@@ -157,7 +157,7 @@ class TestPredict:
             evaluate(weights, FeatureDataset(np.zeros((1, 3)), [0]))
 
     def test_batch_matches_single(self):
-        """A row is predicted the same alone as in a block of 16."""
+        """A row is predicted the same alone as in a batch of 20."""
         rng = np.random.default_rng(17)
         weights = rng.standard_normal((3, 5))
         xs = rng.standard_normal((20, 4))
@@ -272,9 +272,9 @@ class TestCentredStep:
         "d, spec",
         [
             (synth_blobs(4, 15, 12, 1.0, 0.5, 31), TrainSpec(lambda_=1e-2, epochs=3, seed=32)),
-            (synth_blobs(3, 20, 40, 2.0, 0.3, 33), TrainSpec(lambda_=1e-3, epochs=4, seed=34)),
+            (synth_blobs(3, 50, 40, 2.0, 0.3, 33), TrainSpec(lambda_=1e-3, epochs=4, seed=34)),
             (
-                FeatureDataset(np.empty((30, 0)), np.repeat(np.arange(3), 10)),
+                FeatureDataset(np.empty((150, 0)), np.repeat(np.arange(3), (30, 30, 90))),
                 TrainSpec(lambda_=0.2, epochs=4, seed=35),
             ),
         ],
